@@ -22,7 +22,6 @@ class ToleranceConfig:
     solve_rtol: float = 1e-10        # residual bound for linear solves
     singular_pivot: float = 1e-13    # pivot threshold, relative to ||A||
     herm_rtol: float = 1e-10         # allowed ||A - A*|| / ||A||
-    eig_reconstruction: float = 1e-8
     ortho: float = 1e-10             # frame orthonormality
     rank: float = 1e-8               # default numerical-rank threshold
     expm: float = 1e-10

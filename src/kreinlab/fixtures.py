@@ -153,11 +153,6 @@ def run_fixture(name: str, regenerate: bool = False) -> bool:
     return True
 
 
-def run_all(regenerate: bool = False) -> dict[str, bool]:
-    return {name: run_fixture(name, regenerate=regenerate)
-            for name in list_fixtures()}
-
-
 # ------------------------------------------------- example constructions
 
 def build_sig2_example(b: float = 3.0, x: float = 1.0):

@@ -25,8 +25,8 @@ from scipy.optimize import linear_sum_assignment
 
 from . import config, numerics, spectral
 from .cayley import CayleyParams, cayley_op
-from .errors import (AmbiguousClassification, MembershipError, StepUnderflow,
-                     UnknownScenario, UnresolvedEvent)
+from .errors import (AmbiguousClassification, KreinLabError, MembershipError,
+                     StepUnderflow, UnknownScenario, UnresolvedEvent)
 from .krein import KreinStructure, is_j_hermitian, is_j_unitary, make_standard
 from .realsym import RealStructure, is_member, make_real_structure
 from .signature import InertiaPair, form_inertia
@@ -272,7 +272,7 @@ def track(path: OperatorPath, initial_grid: int = 9,
                     members = on_vals[group]
                     try:
                         nu = sess.cluster_inertia(t_k, members)
-                    except Exception:
+                    except KreinLabError:
                         nu = None
                     for gi in group:
                         nus[on_idx[gi]] = nu
@@ -383,14 +383,14 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
             if members:
                 try:
                     nu_on = sess.cluster_inertia(tt_on2, np.array(members))
-                except Exception:
+                except KreinLabError:
                     nu_on = None
             _, members_off = _collision_cluster(sess, t_off, lam0, radius)
             nu_off = None
             if members_off:
                 try:
                     nu_off = sess.cluster_inertia(t_off, np.array(members_off))
-                except Exception:
+                except KreinLabError:
                     nu_off = None
             if direction == "departure":
                 nu_before, nu_after = nu_on, nu_off
@@ -468,7 +468,7 @@ def _detect_pass_through(trajectories, sess: _PathSession, rho,
                         mult = len(members)
                     else:
                         mult = 2
-                except Exception:
+                except KreinLabError:
                     mult = 2
                 events.append(BifurcationEvent(
                     event_kind="PASS_THROUGH", t0=float(t_min),
@@ -638,10 +638,6 @@ def scenario_library(name: str, params: dict | None = None) -> OperatorPath:
         R = make_real_structure((1, 1), 2, 2)
         K1 = make_standard(1, 1)
         p = CayleyParams(z=1j, zeta=-1.0)
-        perm = np.zeros((4, 4))
-        # realified diag(1,-1,1,-1) -> diag(1,1,-1,-1)
-        for row, col in enumerate((0, 2, 1, 3)):
-            perm[row, col] = 1.0
         lam0 = complex(cayley_op(np.array([[c]], dtype=complex),
                                  make_standard(1, 0), p)[0, 0])
 

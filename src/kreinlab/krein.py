@@ -56,10 +56,15 @@ def make_standard(n_plus: int, n_minus: int) -> KreinStructure:
 
 @dataclass(frozen=True)
 class MembershipResult:
-    """Boolean verdict plus the raw residual for drift diagnostics."""
+    """Boolean verdict plus the raw residual for drift diagnostics.
+
+    Real-structure membership also sets ``j_residual``, the J-membership
+    part of ``residual`` without the real-symmetry residual.
+    """
 
     ok: bool
     residual: float
+    j_residual: float | None = None
 
     def __bool__(self) -> bool:
         return self.ok

@@ -1,17 +1,16 @@
 """Dense complex-matrix substrate.
 
 Everything downstream depends only on the contracts of this module:
-validated inputs, linear solves with singularity detection, general and
-hermitian eigendecompositions, orthonormal frames, and the matrix
-exponential.  The heavy lifting is delegated to LAPACK through scipy
-(Hessenberg + shifted QR for ``eig``, scaling-and-squaring for ``expm``);
+validated inputs, linear solves with singularity detection, general
+eigenvalues and hermitian eigendecompositions, orthonormal frames, and the
+matrix exponential.  The heavy lifting is delegated to LAPACK through scipy
+(Hessenberg + shifted QR for ``eigvals``, scaling-and-squaring for ``expm``);
 the contracts and failure modes are owned here.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg as sla
@@ -65,32 +64,6 @@ def solve(a, b, tol: config.ToleranceConfig | None = None) -> np.ndarray:
             f"pivot {pivots.min():.3e} below threshold {t.singular_pivot * scale:.3e}")
     x = sla.lu_solve((lu, piv), b, check_finite=False)
     return x[:, 0] if vector_input else x
-
-
-@dataclass
-class EigenDecomposition:
-    """Eigenvalues with algebraic multiplicity plus a right-eigenvector basis.
-
-    ``vectors`` may be ill-conditioned for defective matrices; the
-    reconstruction residual ``||A V - V diag(w)||`` is still well defined
-    column by column and is what the contract bounds.
-    """
-
-    eigenvalues: np.ndarray
-    vectors: np.ndarray
-
-    def reconstruction_residual(self, a) -> float:
-        return norm(a @ self.vectors - self.vectors * self.eigenvalues[None, :])
-
-
-def eig(a, tol: config.ToleranceConfig | None = None) -> EigenDecomposition:
-    """General (non-normal) eigendecomposition."""
-    a = as_matrix(a, square=True, name="A")
-    try:
-        w, v = sla.eig(a, check_finite=False)
-    except sla.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails
-        raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
-    return EigenDecomposition(eigenvalues=w, vectors=v)
 
 
 def eigvals(a) -> np.ndarray:
@@ -161,22 +134,6 @@ def polar_unitary(a) -> np.ndarray:
     a = as_matrix(a, square=True, name="A")
     u, _, vh = sla.svd(a, check_finite=False)
     return u @ vh
-
-
-def herm_power(a, p: float, tol: config.ToleranceConfig | None = None) -> np.ndarray:
-    """|A|^p for hermitian invertible A acting through its eigenbasis.
-
-    Used for the |j|^{1/2} conjugators; raises :class:`SingularForm`-grade
-    ``ValueError`` only through the caller's checks, not here.
-    """
-    w, v = herm_eig(a, tol)
-    return (v * np.abs(w) ** p) @ v.conj().T
-
-
-def herm_sign(a, tol: config.ToleranceConfig | None = None) -> np.ndarray:
-    """Matrix sign j |j|^{-1} of a hermitian invertible matrix."""
-    w, v = herm_eig(a, tol)
-    return (v * np.sign(w)) @ v.conj().T
 
 
 def unitary_log(v, branch_point=1.0 + 0.0j,

@@ -25,7 +25,7 @@ from .errors import (IncompatibleDimensions, InvariantConstraintViolated,
                      MembershipError, NormalizationFailed, SymmetryViolated)
 from .krein import KreinStructure, is_j_hermitian, is_j_unitary, make_standard, \
     random_j_hermitian
-from .signature import InvariantReport, global_signature
+from .signature import InvariantReport
 
 
 def conj(a) -> np.ndarray:
@@ -134,7 +134,7 @@ def is_member(a, R: RealStructure, kind: str, tol_value: float | None = None,
     else:
         raise ValueError(f"kind must be 'unitary' or 'hermitian', got {kind!r}")
     res = max(base.residual, float(sym))
-    return MembershipResult(res <= bound, res)
+    return MembershipResult(res <= bound, res, j_residual=base.residual)
 
 
 @dataclass(frozen=True)
@@ -213,9 +213,8 @@ def check_spectral_symmetries(a, R: RealStructure, kind: str,
     pairs, residuals = [], []
     for i, c in enumerate(part.clusters):
         target = np.conj(c.center) if kind == "unitary" else -np.conj(c.center)
-        dists = [abs(o.center - target) for o in part.clusters]
-        j = int(np.argmin(dists))
-        if dists[j] > max(part.delta, t.spectrum_match * (1 + abs(target))):
+        j = part.cluster_at(target, t)
+        if j is None:
             raise SymmetryViolated(
                 f"no cluster at the conjugation image {target:.6g}",
                 eigenvalue=c.center)
@@ -298,24 +297,25 @@ def full_invariant_report(a, R: RealStructure | None, kind: str,
     if R is None:
         if K is None:
             raise ValueError("need either a RealStructure or a KreinStructure")
-        rep = global_signature(a, K, kind, tol=t)
+        rep = signature.global_signature(a, K, kind, tol=t)
         rep.group = classify_group(K).name
         return rep
     member = is_member(a, R, kind, tol=t)
     if not member:
         raise MembershipError("operator is not a member of the symmetry class",
                               residual=member.residual)
-    rep = global_signature(a, R.K, kind, tol=t)
+    part = spectral.spectral_partition(a, kind, tol=t)
+    rep = signature.invariant_report(part, R.K, member.j_residual, t)
     rep.group = classify_group(R).name
     eta, tau = R.kind.as_tuple()
     if (eta, tau) == (1, 1):
         if kind == "unitary":
-            rep.sec = signature.sec(a, R.K, structure=R, tol=t)
+            rep.sec = signature.sec_of(part, R.K, t)
     elif (eta, tau) == (-1, -1):
         if rep.global_sig != 0:
             raise InvariantConstraintViolated(
                 f"kind (-1,-1) forces Sig = 0, got {rep.global_sig}")
-        rep.sig2 = signature.sig2(a, R.K, kind, structure=R, tol=t)
+        rep.sig2 = signature.sig2_of(part)
     elif (eta, tau) == (-1, 1):
         if rep.global_sig % 2 != 0:
             raise InvariantConstraintViolated(

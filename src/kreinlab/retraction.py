@@ -29,9 +29,9 @@ import scipy.linalg as sla
 
 from . import config, numerics, signature, spectral
 from .errors import (DegenerateSubspace, FramePreparationFailed,
-                     IncompatibleDimensions, MembershipError, NotFredholmPair,
-                     NotGapped, NotInClass, NotInvariant, NotLagrangian,
-                     PathBlocked, StageError)
+                     IncompatibleDimensions, KreinLabError, MembershipError,
+                     NotFredholmPair, NotGapped, NotInClass, NotInvariant,
+                     NotLagrangian, PathBlocked, StageError)
 from .homotopy import OperatorPath
 from .krein import KreinStructure, is_j_hermitian
 from .realsym import (RealStructure, antisymmetric_unitary_factor, conj,
@@ -39,6 +39,7 @@ from .realsym import (RealStructure, antisymmetric_unitary_factor, conj,
                       standard_skew, symmetric_unitary_sqrt)
 
 STAGES = ("flatten", "lift", "straighten", "final")
+SEGMENT_SAMPLES = 9   # membership samples per segment in the final check
 
 
 @dataclass
@@ -115,10 +116,10 @@ def _segment(stage, sampler, K, R, start, end, name) -> PathSegment:
 
 # ------------------------------------------------------------------ flatten
 
-def _halfplane_projections(h_mat, K, t):
-    part = spectral.spectral_partition(h_mat, tol=t)
-    spectral.classify_partition(part, "hermitian", tol=t)
-    n = K.dim
+def _halfplane_projections(part):
+    """Sums of the Riesz projections of a hermitian-tagged partition over
+    the upper half-plane, the lower half-plane and the real axis."""
+    n = part.dim
     p_up = np.zeros((n, n), complex)
     p_dn = np.zeros((n, n), complex)
     p_re = np.zeros((n, n), complex)
@@ -147,7 +148,13 @@ def spectral_flatten(h_mat, K: KreinStructure, R: RealStructure | None = None,
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
     _require_membership(h_mat, K, R, t)
-    p_up, p_dn, _ = _halfplane_projections(h_mat, K, t)
+    return _flatten(h_mat, spectral.spectral_partition(h_mat, "hermitian", tol=t),
+                    K, R, t)
+
+
+def _flatten(h_mat, part, K, R, t) -> PathSegment:
+    """The flatten segment of a member H from its hermitian-tagged partition."""
+    p_up, p_dn, _ = _halfplane_projections(part)
     d_op = 1j * (p_up - p_dn)
 
     def sampler(s):
@@ -230,7 +237,8 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         raise FramePreparationFailed(
             f"lift requires spectrum in {{-i,0,i}}, off by {res_flat:.3e}")
     n = K.dim
-    p_up, p_dn, p_re = _halfplane_projections(h_flat, K, t)
+    p_up, p_dn, p_re = _halfplane_projections(
+        spectral.spectral_partition(h_flat, "hermitian", tol=t))
     mult = int(round(np.trace(p_re).real))
     if mult == 0:
         def sampler(s):
@@ -261,7 +269,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         kind = R.kind.as_tuple()
         try:
             norm_pair = normalize_krein_pair(j_psi, s_anti, *kind, tol=t)
-        except Exception as exc:
+        except KreinLabError as exc:
             raise FramePreparationFailed(str(exc)) from exc
         psi = psi0 @ norm_pair.R_unitary_part
         d = norm_pair.eigenvalues
@@ -438,7 +446,8 @@ def lagrangian_frames(h_flat, K: KreinStructure,
             f"({K.n_plus},{K.n_minus})")
     h_flat = numerics.as_matrix(h_flat, square=True, name="H")
     K.check_dim(h_flat)
-    p_up, p_dn, p_re = _halfplane_projections(h_flat, K, t)
+    p_up, p_dn, p_re = _halfplane_projections(
+        spectral.spectral_partition(h_flat, "hermitian", tol=t))
     if int(round(np.trace(p_re).real)) != 0:
         raise NotLagrangian("operator still has a kernel; lift it first")
     nn = K.n_plus
@@ -514,6 +523,7 @@ def factorize_unitary(v, cls: str, s=None, branch_point=None,
 
 SYMMETRY_OPTIONS = ("none", "symmetric", "odd-symmetric", "real-avoiding-1",
                     "quaternionic-avoiding-1")
+CERT_SAMPLES = 33     # Fredholm certificate samples along the straightening
 
 
 @dataclass
@@ -558,7 +568,6 @@ def _class_residual(u, symmetry, s):
 
 
 def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
-               n_cert_samples: int = 33,
                tol: config.ToleranceConfig | None = None) -> StraightenResult:
     """Deform the Lagrangian pair (u_+, u_-) to (u_+, -u_+) keeping
     u_-(t)^* u_+(t) - 1 invertible throughout.
@@ -627,9 +636,9 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
                     f"class residual {res:.3e} at t={tv:.3f}")
         return certs
 
-    certs = certify(n_cert_samples)
+    certs = certify(CERT_SAMPLES)
     if min(certs) <= t.fredholm_cert:
-        certs = certify(2 * n_cert_samples)
+        certs = certify(2 * CERT_SAMPLES)
         if min(certs) <= t.fredholm_cert:
             raise PathBlocked(
                 f"certificate fell to {min(certs):.3e} along the path")
@@ -671,7 +680,6 @@ def _symmetry_option(kind):
 
 
 def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
-                     segment_samples: int = 9,
                      tol: config.ToleranceConfig | None = None) -> RetractionTrace:
     """Full retraction pipeline flatten -> lift -> straighten.
 
@@ -687,15 +695,17 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
     kind = R.kind.as_tuple() if R is not None else None
-    sig_initial = signature.global_signature(h_mat, K, "hermitian", tol=t).global_sig
+    initial = signature.global_signature(h_mat, K, "hermitian", tol=t)
+    sig_initial = initial.global_sig
 
     try:
-        seg_flat = spectral_flatten(h_mat, K, R, tol=t)
-    except Exception as exc:
+        _require_membership(h_mat, K, R, t)
+        seg_flat = _flatten(h_mat, initial.partition, K, R, t)
+    except KreinLabError as exc:
         raise StageError("flatten", exc) from exc
     try:
         lift = lift_kernel(seg_flat.end, K, R, tol=t)
-    except Exception as exc:
+    except KreinLabError as exc:
         raise StageError("lift", exc) from exc
 
     try:
@@ -724,7 +734,7 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
                 f"unexpected residual kernel of dimension {lift.kernel_dim}")
     except StageError:
         raise
-    except Exception as exc:
+    except KreinLabError as exc:
         raise StageError("straighten", exc) from exc
 
     seg_straight = PathSegment(stage="straighten", path=straight_path,
@@ -741,7 +751,7 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
     worst_membership = 0.0
     for seg in segments:
         worst_membership = max(worst_membership, seg.path.verify_membership(
-            n_samples=segment_samples, tol_value=t.path_membership, tol=t))
+            n_samples=SEGMENT_SAMPLES, tol_value=t.path_membership, tol=t))
     spec_res = flat_spectrum_residual(terminal)
     if spec_res > t.terminal_spectrum:
         raise StageError("final", NotInvariant(

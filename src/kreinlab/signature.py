@@ -5,11 +5,17 @@ form Psi* J Psi, with Psi an orthonormal frame of the cluster's spectral
 subspace.  Off-circle clusters carry inertia (0, 0) by definition and are
 annotated with their reflection partner, which makes the pairing argument
 behind the finite-dimension signature law auditable.
+
+Sig, Sec and Sig_2 all read one region-tagged partition of the operator
+(:func:`spectral.spectral_partition`): :func:`invariant_report`,
+:func:`sec_of` and :func:`sig2_of` take that partition, and
+:func:`global_signature`, :func:`sec` and :func:`sig2` are thin wrappers
+that check membership and build it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,12 +46,10 @@ class InertiaPair:
         return (self.nu_plus, self.nu_minus)
 
 
-def form_inertia(frame, K: KreinStructure, zero_tol: float | None = None,
+def form_inertia(frame, K: KreinStructure,
                  tol: config.ToleranceConfig | None = None) -> InertiaPair:
     """Inertia of the hermitian form Psi* J Psi on a frame."""
-    t = config.get(tol)
-    if zero_tol is None:
-        zero_tol = t.zero_form
+    zero_tol = config.get(tol).zero_form
     form = frame.conj().T @ K.apply(frame)
     if form.shape[0] == 0:
         return InertiaPair(0, 0)
@@ -58,7 +62,6 @@ def form_inertia(frame, K: KreinStructure, zero_tol: float | None = None,
 
 
 def inertia(cluster: SpectralCluster, K: KreinStructure,
-            zero_tol: float | None = None,
             tol: config.ToleranceConfig | None = None) -> InertiaPair:
     """Krein inertia of a cluster.
 
@@ -68,7 +71,7 @@ def inertia(cluster: SpectralCluster, K: KreinStructure,
     """
     if cluster.region is not None and cluster.region not in spectral.ON_REGIONS:
         return InertiaPair(0, 0)
-    pair = form_inertia(cluster.frame, K, zero_tol=zero_tol, tol=tol)
+    pair = form_inertia(cluster.frame, K, tol=tol)
     if pair.total != cluster.multiplicity:
         raise DegenerateForm(
             f"inertia total {pair.total} != multiplicity {cluster.multiplicity}")
@@ -100,6 +103,8 @@ class InvariantReport:
     sig2: int | None = None
     sec: int | None = None
     group: str | None = None
+    partition: ClusterPartition | None = field(default=None, repr=False,
+                                               compare=False)
 
     @property
     def matches_finite_dimension_law(self) -> bool:
@@ -130,73 +135,55 @@ class InvariantReport:
         }
 
 
-def _reflection_partner(part: ClusterPartition, i: int, kind: str,
-                        tol: config.ToleranceConfig) -> int | None:
-    c = part.clusters[i]
-    if kind == "unitary":
-        if abs(c.center) < 1e-12:
-            return None
-        target = 1.0 / np.conj(c.center)
-    else:
-        target = np.conj(c.center)
-    best, bestd = None, np.inf
-    for j, other in enumerate(part.clusters):
-        d = abs(other.center - target)
-        if d < bestd:
-            best, bestd = j, d
-    if best is not None and bestd <= max(part.delta, tol.spectrum_match * (1 + abs(target))):
-        return best
-    return None
-
-
-def classified_partition(a, K: KreinStructure, kind: str,
-                         eps_region: float | None = None,
-                         tol: config.ToleranceConfig | None = None) -> ClusterPartition:
-    """Membership-checked, region-tagged spectral partition."""
-    t = config.get(tol)
+def _require_member(a, K: KreinStructure, kind: str, t: config.ToleranceConfig):
     member = is_j_unitary(a, K, tol=t) if kind == "unitary" \
         else is_j_hermitian(a, K, tol=t)
     if not member:
         raise MembershipError(
             f"operator is not J-{kind} (residual {member.residual:.3e})",
             residual=member.residual)
-    part = spectral.spectral_partition(a, tol=t)
-    spectral.classify_partition(part, kind, eps_region=eps_region, tol=t)
-    return part
+    return member
 
 
-def global_signature(a, K: KreinStructure, kind: str,
-                     eps_region: float | None = None,
-                     zero_tol: float | None = None,
+def invariant_report(part: ClusterPartition, K: KreinStructure,
+                     membership_residual: float,
                      tol: config.ToleranceConfig | None = None) -> InvariantReport:
-    """Full invariant report: per-cluster inertia and the global signature.
+    """Per-cluster inertia and the global signature of a region-tagged
+    partition.
 
     The global signature is the sum of nu_+ - nu_- over on-circle clusters
-    (unitary case) or on-axis clusters (hermitian case).
+    (unitary case) or on-axis clusters (hermitian case).  Off-region
+    clusters are annotated with the cluster at their reflection.
     """
     t = config.get(tol)
-    member = is_j_unitary(a, K, tol=t) if kind == "unitary" \
-        else is_j_hermitian(a, K, tol=t)
-    if not member:
-        raise MembershipError(
-            f"operator is not J-{kind} (residual {member.residual:.3e})",
-            residual=member.residual)
-    part = spectral.spectral_partition(a, tol=t)
-    spectral.classify_partition(part, kind, eps_region=eps_region, tol=t)
     rows = []
     total = 0
-    for i, c in enumerate(part.clusters):
-        nu = inertia(c, K, zero_tol=zero_tol, tol=t)
+    for c in part.clusters:
+        nu = inertia(c, K, tol=t)
         partner = None
         if c.region not in spectral.ON_REGIONS:
-            partner = _reflection_partner(part, i, kind, t)
+            if part.kind != "unitary":
+                partner = part.cluster_at(np.conj(c.center), t)
+            elif abs(c.center) >= 1e-12:
+                partner = part.cluster_at(1.0 / np.conj(c.center), t)
         rows.append(ClusterRow(center=c.center, multiplicity=c.multiplicity,
                                nu=nu, sig=nu.sig, region=c.region,
                                paired_with=partner))
         total += nu.sig
-    return InvariantReport(kind=kind, n_plus=K.n_plus, n_minus=K.n_minus,
+    return InvariantReport(kind=part.kind, n_plus=K.n_plus, n_minus=K.n_minus,
                            rows=rows, global_sig=total,
-                           membership_residual=member.residual)
+                           membership_residual=membership_residual,
+                           partition=part)
+
+
+def global_signature(a, K: KreinStructure, kind: str,
+                     tol: config.ToleranceConfig | None = None) -> InvariantReport:
+    """Full invariant report: per-cluster inertia and the global signature
+    of a J-unitary or J-hermitian operator."""
+    t = config.get(tol)
+    member = _require_member(a, K, kind, t)
+    part = spectral.spectral_partition(a, kind, tol=t)
+    return invariant_report(part, K, member.residual, t)
 
 
 def _check_structure_kind(structure, expected: tuple[int, int], what: str):
@@ -207,8 +194,17 @@ def _check_structure_kind(structure, expected: tuple[int, int], what: str):
         raise ValueError(f"{what} is defined for kind {expected}, got {kind}")
 
 
+def sig2_of(part: ClusterPartition) -> int:
+    """Sig_2 of a region-tagged partition: half the on-circle (on-axis)
+    algebraic multiplicity, mod 2."""
+    on = "unit-circle" if part.kind == "unitary" else "real-axis"
+    m = part.total_multiplicity(on)
+    if m % 2 != 0:
+        raise OddDimension(f"on-{on} multiplicity {m} is odd")
+    return (m // 2) % 2
+
+
 def sig2(a, K: KreinStructure, kind: str, structure=None,
-         eps_region: float | None = None,
          tol: config.ToleranceConfig | None = None) -> int:
     """Z_2 invariant for kind (-1,-1): half the on-circle (on-axis) algebraic
     multiplicity, mod 2.
@@ -217,34 +213,34 @@ def sig2(a, K: KreinStructure, kind: str, structure=None,
     Raises :class:`OddDimension` when the multiplicity is odd, which signals
     a symmetry violation upstream (Kramers degeneracy forces evenness).
     """
-    _check_structure_kind(structure, (-1, -1), "Sig_2")
-    part = classified_partition(a, K, kind, eps_region=eps_region, tol=tol)
-    on = "unit-circle" if kind == "unitary" else "real-axis"
-    m = part.total_multiplicity(on)
-    if m % 2 != 0:
-        raise OddDimension(f"on-{on} multiplicity {m} is odd")
-    return (m // 2) % 2
-
-
-def sec(a, K: KreinStructure, structure=None,
-        eps_region: float | None = None,
-        zero_tol: float | None = None,
-        tol: config.ToleranceConfig | None = None) -> int:
-    """Secondary invariant for kind (1,1) unitaries: Sig(1, T) mod 2.
-
-    Sig(1, T) = 0 when 1 is not in the spectrum.  An optional real
-    ``structure`` is validated to be of kind (1,1).
-    """
     t = config.get(tol)
-    _check_structure_kind(structure, (1, 1), "Sec")
-    part = classified_partition(a, K, "unitary", eps_region=eps_region, tol=t)
-    sig_at_one = 0
+    _check_structure_kind(structure, (-1, -1), "Sig_2")
+    _require_member(a, K, kind, t)
+    return sig2_of(spectral.spectral_partition(a, kind, tol=t))
+
+
+def sec_of(part: ClusterPartition, K: KreinStructure,
+           tol: config.ToleranceConfig | None = None) -> int:
+    """Sec of a unit-circle-tagged partition: Sig(1, T) mod 2, with
+    Sig(1, T) = 0 when 1 is not in the spectrum."""
+    t = config.get(tol)
     for c in part.clusters:
         if c.region == "unit-circle" and \
                 abs(c.center - 1.0) <= max(part.delta, t.spectrum_match):
-            sig_at_one = inertia(c, K, zero_tol=zero_tol, tol=t).sig
-            break
-    return sig_at_one % 2
+            return inertia(c, K, tol=t).sig % 2
+    return 0
+
+
+def sec(a, K: KreinStructure, structure=None,
+        tol: config.ToleranceConfig | None = None) -> int:
+    """Secondary invariant for kind (1,1) unitaries: Sig(1, T) mod 2.
+
+    An optional real ``structure`` is validated to be of kind (1,1).
+    """
+    t = config.get(tol)
+    _check_structure_kind(structure, (1, 1), "Sec")
+    _require_member(a, K, "unitary", t)
+    return sec_of(spectral.spectral_partition(a, "unitary", tol=t), K, t)
 
 
 def build_index_example(a_block) -> tuple[np.ndarray, KreinStructure]:

@@ -98,15 +98,31 @@ class SpectralCluster:
 
 @dataclass
 class ClusterPartition:
-    """All clusters of a matrix, with the inter-cluster gap actually achieved."""
+    """All clusters of a matrix, with the inter-cluster gap actually achieved.
+
+    ``kind`` is the operator kind ('unitary' or 'hermitian') the clusters
+    were region-tagged for, or None when they carry no region.
+    """
 
     clusters: list[SpectralCluster]
     gap: float
     delta: float
     dim: int
+    kind: str | None = None
 
     def on_region(self) -> list[SpectralCluster]:
         return [c for c in self.clusters if c.region in ON_REGIONS]
+
+    def cluster_at(self, target: complex,
+                   tol: config.ToleranceConfig | None = None) -> int | None:
+        """Index of the cluster centered nearest ``target``, or None when it
+        lies farther than max(delta, spectrum_match * (1 + |target|))."""
+        t = config.get(tol)
+        dists = [abs(c.center - target) for c in self.clusters]
+        j = int(np.argmin(dists))
+        if dists[j] > max(self.delta, t.spectrum_match * (1 + abs(target))):
+            return None
+        return j
 
     def total_multiplicity(self, region: str | None = None) -> int:
         cs = self.clusters if region is None else \
@@ -148,8 +164,7 @@ def _quadrature(t_mat, center, radius, points) -> np.ndarray:
     return acc / points
 
 
-def riesz_projection(t_mat, cluster, quad_points: int | None = None,
-                     all_eigs=None, delta: float | None = None,
+def riesz_projection(t_mat, cluster, all_eigs=None,
                      tol: config.ToleranceConfig | None = None) -> np.ndarray:
     """Riesz spectral projection onto a cluster of eigenvalues.
 
@@ -162,8 +177,7 @@ def riesz_projection(t_mat, cluster, quad_points: int | None = None,
     cluster = np.asarray(list(cluster), dtype=complex)
     if all_eigs is None:
         all_eigs = numerics.eigvals(t_mat)
-    if delta is None:
-        delta = default_delta(all_eigs, t)
+    delta = default_delta(all_eigs, t)
     # remove one spectrum copy of each cluster member to find the exterior
     rest = list(all_eigs)
     for lam in cluster:
@@ -174,7 +188,7 @@ def riesz_projection(t_mat, cluster, quad_points: int | None = None,
                 f"requested eigenvalue {lam:.6g} not found in the spectrum")
         rest.pop(j)
     center, radius = _separating_circle(cluster, rest, delta, t)
-    points = t.quad_start if quad_points is None else quad_points
+    points = t.quad_start
     while True:
         p = _quadrature(t_mat, center, radius, points)
         if numerics.norm(p @ p - p) <= t.riesz:
@@ -185,23 +199,25 @@ def riesz_projection(t_mat, cluster, quad_points: int | None = None,
         points *= 2
 
 
-def spectral_partition(t_mat, delta: float | None = None,
-                       quad_points: int | None = None,
-                       tol: config.ToleranceConfig | None = None,
-                       eigs=None) -> ClusterPartition:
-    """Cluster the spectrum and compute all Riesz projections and frames."""
+def spectral_partition(t_mat, kind: str | None = None,
+                       tol: config.ToleranceConfig | None = None) -> ClusterPartition:
+    """Cluster the spectrum and compute all Riesz projections and frames.
+
+    With ``kind`` ('unitary' or 'hermitian') every cluster is also tagged
+    with its region; clusters may not straddle bands.  This one partition
+    is what every invariant of the operator reads.
+    """
     t = config.get(tol)
+    if kind not in (None, "unitary", "hermitian"):
+        raise ValueError(f"kind must be 'unitary' or 'hermitian', got {kind!r}")
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
-    if eigs is None:
-        eigs = numerics.eigvals(t_mat)
-    if delta is None:
-        delta = default_delta(eigs, t)
+    eigs = numerics.eigvals(t_mat)
+    delta = default_delta(eigs, t)
     groups = cluster_eigenvalues(eigs, delta)
     clusters = []
     for idx in groups:
         members = eigs[idx]
-        p = riesz_projection(t_mat, members, quad_points=quad_points,
-                             all_eigs=eigs, delta=delta, tol=t)
+        p = riesz_projection(t_mat, members, all_eigs=eigs, tol=t)
         mult = int(round(np.trace(p).real))
         u, s, _ = sla.svd(p, check_finite=False)
         frame = u[:, :mult]
@@ -225,8 +241,17 @@ def spectral_partition(t_mat, delta: float | None = None,
             for a in clusters[i].eigenvalues:
                 for b in clusters[j].eigenvalues:
                     gap = min(gap, abs(a - b))
+    if kind is not None:
+        for c in clusters:
+            tags = {_region_of(l, kind, t.eps_region, t.ambiguous_factor)
+                    for l in c.eigenvalues}
+            if len(tags) != 1:
+                raise AmbiguousClassification(
+                    f"cluster at {c.center:.8g} straddles regions {sorted(tags)}",
+                    eigenvalue=c.center)
+            c.region = tags.pop()
     return ClusterPartition(clusters=clusters, gap=float(gap), delta=delta,
-                            dim=t_mat.shape[0])
+                            dim=t_mat.shape[0], kind=kind)
 
 
 def _boundary_distance(lam: complex, kind: str) -> float:
@@ -248,28 +273,7 @@ def _region_of(lam: complex, kind: str, eps: float, factor: float) -> str:
     return "inside-disc" if abs(lam) < 1.0 else "outside-disc"
 
 
-def classify_partition(part: ClusterPartition, kind: str,
-                       eps_region: float | None = None,
-                       tol: config.ToleranceConfig | None = None) -> ClusterPartition:
-    """Tag every cluster with its region; clusters may not straddle bands."""
-    t = config.get(tol)
-    eps = t.eps_region if eps_region is None else eps_region
-    if kind not in ("unitary", "hermitian"):
-        raise ValueError(f"kind must be 'unitary' or 'hermitian', got {kind!r}")
-    for c in part.clusters:
-        tags = {_region_of(l, kind, eps, t.ambiguous_factor)
-                for l in c.eigenvalues}
-        if len(tags) != 1:
-            raise AmbiguousClassification(
-                f"cluster at {c.center:.8g} straddles regions {sorted(tags)}",
-                eigenvalue=c.center)
-        c.region = tags.pop()
-    return part
-
-
 def spectral_subspaces(t_mat, K: KreinStructure, region: str,
-                       eps_region: float | None = None,
-                       delta: float | None = None,
                        tol: config.ToleranceConfig | None = None) -> ClusterPartition:
     """Partition restricted to the clusters lying in the named region."""
     if region in REGIONS_HERMITIAN:
@@ -278,11 +282,10 @@ def spectral_subspaces(t_mat, K: KreinStructure, region: str,
         kind = "unitary"
     else:
         raise ValueError(f"unknown region {region!r}")
-    part = spectral_partition(t_mat, delta=delta, tol=tol)
-    classify_partition(part, kind, eps_region=eps_region, tol=tol)
+    part = spectral_partition(t_mat, kind, tol=tol)
     kept = [c for c in part.clusters if c.region == region]
     return ClusterPartition(clusters=kept, gap=part.gap, delta=part.delta,
-                            dim=part.dim)
+                            dim=part.dim, kind=kind)
 
 
 @dataclass
@@ -306,9 +309,7 @@ def check_projection_symmetry(a, K: KreinStructure, part: ClusterPartition,
     lam -> conj(lam).  Raises :class:`UnmatchedReflection` when a reflected
     cluster is missing.
     """
-    t = config.get(tol)
     pairs, residuals = [], []
-    centers = [c.center for c in part.clusters]
     for i, c in enumerate(part.clusters):
         if kind == "unitary":
             if abs(c.center) < 1e-12:
@@ -317,9 +318,8 @@ def check_projection_symmetry(a, K: KreinStructure, part: ClusterPartition,
             target = 1.0 / np.conj(c.center)
         else:
             target = np.conj(c.center)
-        dists = [abs(mu - target) for mu in centers]
-        j = int(np.argmin(dists))
-        if dists[j] > max(part.delta, t.spectrum_match * (1 + abs(target))):
+        j = part.cluster_at(target, tol)
+        if j is None:
             raise UnmatchedReflection(
                 f"no cluster at the reflection {target:.6g} of {c.center:.6g}")
         res = numerics.norm(c.projection.conj().T

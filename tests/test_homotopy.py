@@ -207,6 +207,17 @@ def test_global_signature_constant_along_library_paths():
         assert sigs == {path.structure.n_plus - path.structure.n_minus}, name
 
 
+def test_track_programming_error_in_inertia_propagates(monkeypatch):
+    from kreinlab import homotopy
+
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(homotopy, "form_inertia", broken)
+    with pytest.raises(TypeError, match="injected"):
+        track(rotation_pair_path(), initial_grid=9)
+
+
 def test_unknown_scenario():
     with pytest.raises(UnknownScenario):
         scenario_library("nope")

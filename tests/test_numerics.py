@@ -42,24 +42,6 @@ def test_solve_rejects_nonfinite():
         numerics.solve(np.array([[np.nan, 0], [0, 1.0]]), np.eye(2))
 
 
-def test_eig_diagonal():
-    dec = numerics.eig(np.diag([1.0, -1.0]))
-    assert sorted(dec.eigenvalues.real) == [-1.0, 1.0]
-
-
-def test_eig_jordan_block_multiplicity():
-    dec = numerics.eig(np.array([[1.0, 1.0], [0.0, 1.0]]))
-    np.testing.assert_allclose(dec.eigenvalues, [1.0, 1.0], atol=1e-7)
-
-
-def test_eig_reconstruction_random():
-    rng = np.random.default_rng(1)
-    for k in range(5):
-        a = random_complex(rng, 12)
-        dec = numerics.eig(a)
-        assert dec.reconstruction_residual(a) <= 1e-8 * numerics.norm(a)
-
-
 def test_herm_eig_examples():
     w, v = numerics.herm_eig(np.diag([1.0, -1.0]))
     np.testing.assert_allclose(w, [-1.0, 1.0])

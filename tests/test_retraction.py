@@ -284,3 +284,13 @@ def test_trace_json_roundtrip():
     a_flat = np.array([complex(re, im) for re, im in data["terminal_block"]])
     a_blk = a_flat.reshape(data["terminal_block_shape"])
     assert numerics.norm(a_blk.T - a_blk) <= 1e-8
+
+
+def test_retract_programming_error_propagates(monkeypatch):
+    def broken(*args, **kwargs):
+        raise TypeError("injected")
+
+    monkeypatch.setattr(retraction, "lift_kernel", broken)
+    K = krein.make_standard(1, 1)
+    with pytest.raises(TypeError, match="injected"):
+        retraction.retract_to_model(K.J, K)

@@ -9,9 +9,7 @@ from tests.test_krein import finex_matrix
 
 
 def classified(a, K, kind):
-    part = spectral.spectral_partition(a)
-    spectral.classify_partition(part, kind)
-    return part
+    return spectral.spectral_partition(a, kind)
 
 
 def test_inertia_finex():
