@@ -699,7 +699,10 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
     sig_initial = initial.global_sig
 
     try:
-        _require_membership(h_mat, K, R, t)
+        if R is not None:
+            # global_signature checked J-membership; the real structure adds
+            # its own residual
+            _require_membership(h_mat, K, R, t)
         seg_flat = _flatten(h_mat, initial.partition, K, R, t)
     except KreinLabError as exc:
         raise StageError("flatten", exc) from exc

@@ -3,8 +3,11 @@
 Riesz projections are computed by trapezoid quadrature of the resolvent over
 a circle separating the cluster from the rest of the spectrum.  The trapezoid
 rule is spectrally accurate on circles and needs only linear solves, so it
-works for non-normal matrices where eigenvector conditioning is poor.  The
-number of quadrature points doubles until idempotency converges.
+works for non-normal matrices where eigenvector conditioning is poor.  Each
+rule evaluates all its resolvents with one inverse of the stacked
+``(points, n, n)`` array of ``z_k I - T``.  The number of points doubles
+until idempotency converges; the doubled rule contains every node of the
+one before it, so each doubling evaluates only the new midpoint nodes.
 
 Region classification (on the real axis / unit circle versus off it) is
 tolerance-banded: eigenvalues inside the band are "on", eigenvalues in the
@@ -151,17 +154,19 @@ def _separating_circle(cluster_eigs, other_eigs, delta,
     return center, radius
 
 
-def _quadrature(t_mat, center, radius, points) -> np.ndarray:
-    n = t_mat.shape[0]
-    eye = np.eye(n, dtype=complex)
-    acc = np.zeros((n, n), dtype=complex)
-    theta = 2.0 * np.pi * np.arange(points) / points
-    for w in np.exp(1j * theta):
-        z = center + radius * w
-        acc += radius * w * sla.lu_solve(
-            sla.lu_factor(z * eye - t_mat, check_finite=False), eye,
-            check_finite=False)
-    return acc / points
+def _quadrature(t_mat, center, radius, points, offset=0.0) -> np.ndarray:
+    """Trapezoid rule for the integral of (z I - T)^-1 dz / (2 pi i) over the
+    circle |z - center| = radius, with nodes at angles 2 pi (k + offset) / points."""
+    w = np.exp(2j * np.pi * (np.arange(points) + offset) / points)
+    z = center + radius * w
+    shifted = z[:, None, None] * np.eye(t_mat.shape[0]) - t_mat
+    try:
+        resolvents = np.linalg.inv(shifted)
+    except np.linalg.LinAlgError:
+        k = int(np.argmin(np.linalg.svd(shifted, compute_uv=False)[:, -1]))
+        raise QuadratureDivergence(
+            f"z I - T is singular at the quadrature node z = {z[k]:.6g}") from None
+    return np.tensordot(radius * w, resolvents, axes=1) / points
 
 
 def riesz_projection(t_mat, cluster, all_eigs=None,
@@ -171,6 +176,8 @@ def riesz_projection(t_mat, cluster, all_eigs=None,
     ``cluster`` is the collection of eigenvalues (with multiplicity) to
     enclose.  The contour is a circle around the cluster centroid; quadrature
     points double until ``||P^2 - P||`` converges or the cap is reached.
+    Each doubling averages the rule with its midpoint rule, so a call that
+    stops at N points evaluates exactly N resolvents.
     """
     t = config.get(tol)
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
@@ -189,13 +196,14 @@ def riesz_projection(t_mat, cluster, all_eigs=None,
         rest.pop(j)
     center, radius = _separating_circle(cluster, rest, delta, t)
     points = t.quad_start
+    p = _quadrature(t_mat, center, radius, points)
     while True:
-        p = _quadrature(t_mat, center, radius, points)
         if numerics.norm(p @ p - p) <= t.riesz:
             return p
         if points >= t.quad_cap:
             raise QuadratureDivergence(
                 f"||P^2 - P|| = {numerics.norm(p @ p - p):.3e} at {points} points")
+        p = 0.5 * (p + _quadrature(t_mat, center, radius, points, offset=0.5))
         points *= 2
 
 

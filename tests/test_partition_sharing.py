@@ -7,14 +7,16 @@ import pytest
 from kreinlab import krein, realsym, retraction, spectral
 
 
-def count_outer_calls(monkeypatch, functions) -> dict:
+def count_outer_calls(monkeypatch, functions, first_arg=None) -> dict:
     """Wrap every kreinlab binding of ``functions`` and count the calls made
-    while no other counted call is open."""
+    while no other counted call is open, only those whose first argument is
+    ``first_arg`` when it is given."""
     counter = {"calls": 0, "depth": 0}
 
     def wrap(fn):
         def wrapper(*args, **kwargs):
-            if counter["depth"] == 0:
+            if counter["depth"] == 0 and (first_arg is None
+                                          or args[0] is first_arg):
                 counter["calls"] += 1
             counter["depth"] += 1
             try:
@@ -59,3 +61,12 @@ def test_retraction_partitions_h_once(monkeypatch):
     # the terminal operator
     assert partitions["calls"] == 4
     assert trace.sig_initial == trace.sig_terminal == 0
+
+
+def test_retraction_checks_h_membership_once(monkeypatch):
+    K = krein.make_standard(2, 2)
+    h = krein.random_j_hermitian(K, 5)
+    checks = count_outer_calls(monkeypatch, [krein.is_j_hermitian,
+                                             realsym.is_member], first_arg=h)
+    retraction.retract_to_model(h, K)
+    assert checks["calls"] == 1
