@@ -20,19 +20,17 @@ import sys
 
 import numpy as np
 
-from . import fileio, verify
+from . import fileio
+from .config import SUITES
 from .errors import (AmbiguousClassification, DegenerateForm,
                      DimensionMismatch, IncompatibleDimensions, KreinLabError,
                      MembershipError, OddDimension, InvariantConstraintViolated,
                      StageError, StepUnderflow, UnknownScenario,
                      UnresolvedEvent)
-from .homotopy import detect_events, scenario_library, track, \
-    trajectories_to_csv
 from .krein import (is_j_hermitian, is_j_unitary, make_standard,
                     random_j_hermitian, random_j_unitary)
 from .realsym import classify_group, full_invariant_report, is_member, \
     make_real_structure, random_member
-from .retraction import retract_to_model
 
 GEN_CLASSES = {
     "O": (1, 1),
@@ -102,6 +100,9 @@ def _parse_params(items):
 def _cmd_track(args) -> int:
     import os
 
+    from .homotopy import detect_events, scenario_library, track, \
+        trajectories_to_csv
+
     if os.path.exists(args.scenario):
         path = fileio.read_path_file(args.scenario)
     else:
@@ -126,6 +127,8 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_retract(args) -> int:
+    from .retraction import retract_to_model
+
     mf = fileio.read_matrix_file(args.input)
     trace = retract_to_model(mf.matrix, mf.K, mf.R)
     text = trace.to_json(indent=1)
@@ -141,6 +144,8 @@ def _cmd_retract(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from . import verify
+
     out = verify.run_suite(args.suite, n=args.n, seed=args.seed)
     print(fileio.dump_json(out, indent=1))
     return 0 if out["passed"] else 1
@@ -185,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     r.set_defaults(fn=_cmd_retract)
 
     v = sub.add_parser("verify", help="run a randomized verification suite")
-    v.add_argument("suite", choices=verify.SUITES)
+    v.add_argument("suite", choices=SUITES)
     v.add_argument("--n", type=int, default=None)
     v.add_argument("--seed", type=int, default=0)
     v.set_defaults(fn=_cmd_verify)

@@ -86,6 +86,11 @@ class ToleranceConfig:
 
 DEFAULT = ToleranceConfig.from_env()
 
+# Names of the randomized suites of ``kreinlab.verify``, kept here so that the
+# command-line parser can list them without importing the suites.
+SUITES = ("riesz", "signature-law", "cayley", "kramers", "taxonomy",
+          "retraction", "factorization")
+
 
 def get(tol: ToleranceConfig | None) -> ToleranceConfig:
     """Resolve an optional config argument to the module default."""

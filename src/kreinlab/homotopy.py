@@ -20,8 +20,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.optimize import linear_sum_assignment
 
 from . import config, numerics, spectral
 from .cayley import CayleyParams, cayley_op
@@ -198,7 +196,7 @@ class _PathSession:
         eigs = self.eigs(t)
         p = spectral.riesz_projection(a, members, all_eigs=eigs, tol=self.tol)
         mult = int(round(np.trace(p).real))
-        u = sla.svd(p, check_finite=False)[0][:, :mult]
+        u = np.linalg.svd(p)[0][:, :mult]
         return form_inertia(u, self.path.structure, tol=self.tol)
 
 
@@ -235,7 +233,7 @@ def track(path: OperatorPath, initial_grid: int = 9,
         prev = tracked[-1]
         cur = sess.eigs(t1)
         cost = np.abs(prev[:, None] - cur[None, :])
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = numerics.optimal_assignment(cost)
         new = cur[cols[np.argsort(rows)]]
         moves = np.abs(new - prev)
         n = len(prev)
@@ -357,7 +355,7 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
         tt_on, eigs_on, tags_on = sess.regions(t_on)
         tt_off, eigs_off, tags_off = sess.regions(t_off)
         cost = np.abs(eigs_on[:, None] - eigs_off[None, :])
-        rows, cols = linear_sum_assignment(cost)
+        rows, cols = numerics.optimal_assignment(cost)
         moving_pos = []
         for i, j in zip(rows, cols):
             was_on = tags_on[i] in spectral.ON_REGIONS

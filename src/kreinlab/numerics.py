@@ -2,10 +2,15 @@
 
 Everything downstream depends only on the contracts of this module:
 validated inputs, linear solves with singularity detection, general
-eigenvalues and hermitian eigendecompositions, orthonormal frames, and the
-matrix exponential.  The heavy lifting is delegated to LAPACK through scipy
-(Hessenberg + shifted QR for ``eigvals``, scaling-and-squaring for ``expm``);
-the contracts and failure modes are owned here.
+eigenvalues and hermitian eigendecompositions, orthonormal frames, the
+matrix exponential and logarithm, and optimal assignment.  The heavy lifting
+is LAPACK: eigenvalues, eigendecompositions and SVDs go through
+``numpy.linalg``; the four kernels numpy lacks (``expm``, ``logm``, the LU
+factorization whose pivots ``solve`` checks, and ``linear_sum_assignment``)
+come from scipy, which is imported inside those functions only, so a caller
+that never needs them never pays for importing scipy.  This is the only
+module that names scipy.  The contracts and failure modes are owned here:
+a LAPACK convergence failure surfaces as :class:`NoConvergence`.
 """
 
 from __future__ import annotations
@@ -13,7 +18,6 @@ from __future__ import annotations
 import warnings
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import config
 from .errors import NoConvergence, NotHermitian, SingularMatrix
@@ -45,6 +49,8 @@ def solve(a, b, tol: config.ToleranceConfig | None = None) -> np.ndarray:
     Raises :class:`SingularMatrix` when a pivot falls below
     ``singular_pivot * ||A||``.
     """
+    import scipy.linalg as sla
+
     t = config.get(tol)
     a = as_matrix(a, square=True, name="A")
     b = np.asarray(b, dtype=complex)
@@ -70,8 +76,8 @@ def eigvals(a) -> np.ndarray:
     """Eigenvalues only (cheaper, used in hot paths)."""
     a = as_matrix(a, square=True, name="A")
     try:
-        return sla.eigvals(a, check_finite=False)
-    except sla.LinAlgError as exc:  # pragma: no cover
+        return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
 
 
@@ -87,8 +93,18 @@ def herm_eig(a, tol: config.ToleranceConfig | None = None):
     dev = norm(a - a.conj().T)
     if dev > t.herm_rtol * max(norm(a), 1.0):
         raise NotHermitian(f"||A - A*|| = {dev:.3e} exceeds tolerance")
-    w, v = sla.eigh((a + a.conj().T) / 2.0, check_finite=False)
-    return w, v
+    try:
+        return np.linalg.eigh((a + a.conj().T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"hermitian eigensolver did not converge: {exc}") from exc
+
+
+def _svd(a):
+    """Full SVD ``(u, s, vh)`` with a convergence failure typed."""
+    try:
+        return np.linalg.svd(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
 
 
 def orthonormal_frame(a, rank_tol: float | None = None,
@@ -102,7 +118,7 @@ def orthonormal_frame(a, rank_tol: float | None = None,
     if rank_tol is None:
         rank_tol = t.rank
     a = as_matrix(a, name="A")
-    u, s, _ = sla.svd(a, check_finite=False)
+    u, s, _ = _svd(a)
     if s.size == 0:
         return u[:, :0]
     cutoff = rank_tol * max(s[0], 1.0)
@@ -117,7 +133,7 @@ def kernel_frame(a, rank_tol: float | None = None,
     if rank_tol is None:
         rank_tol = t.rank
     a = as_matrix(a, name="A")
-    _, s, vh = sla.svd(a, check_finite=False)
+    _, s, vh = _svd(a)
     cutoff = rank_tol * max(s[0] if s.size else 0.0, 1.0)
     r = int(np.sum(s > cutoff))
     return vh.conj().T[:, r:]
@@ -125,14 +141,16 @@ def kernel_frame(a, rank_tol: float | None = None,
 
 def matrix_exp(a) -> np.ndarray:
     """Matrix exponential by scaling-and-squaring (scipy expm)."""
+    from scipy.linalg import expm
+
     a = as_matrix(a, square=True, name="A")
-    return sla.expm(a)
+    return expm(a)
 
 
 def polar_unitary(a) -> np.ndarray:
     """Unitary polar factor of a square matrix (via SVD)."""
     a = as_matrix(a, square=True, name="A")
-    u, _, vh = sla.svd(a, check_finite=False)
+    u, _, vh = _svd(a)
     return u @ vh
 
 
@@ -146,6 +164,8 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
     the window.  Raises :class:`NotGapped` if v has spectrum at the branch
     point (within ``fredholm_cert``).
     """
+    from scipy.linalg import logm
+
     from .errors import NotGapped
 
     t = config.get(tol)
@@ -158,17 +178,40 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
     # principal log has its cut on the negative real axis; rotate it to sit
     # at angle alpha, i.e. center the eigenvalue-angle window opposite it
     center = float(np.angle(np.exp(1j * (alpha + np.pi))))
-    b = sla.logm(v * np.exp(-1j * center))
+    b = logm(v * np.exp(-1j * center))
     h = -1j * b + center * np.eye(v.shape[0])
     h = (h + h.conj().T) / 2.0
     return h
 
 
+def block_diag(*blocks) -> np.ndarray:
+    """Block-diagonal matrix of 2-D blocks; a ``(0, 0)`` block adds nothing.
+
+    Same result as ``scipy.linalg.block_diag`` for 2-D blocks, including
+    the dtype promotion."""
+    blocks = [np.atleast_2d(b) for b in blocks]
+    rows = sum(b.shape[0] for b in blocks)
+    cols = sum(b.shape[1] for b in blocks)
+    out = np.zeros((rows, cols), dtype=np.result_type(*blocks))
+    r = c = 0
+    for b in blocks:
+        out[r:r + b.shape[0], c:c + b.shape[1]] = b
+        r += b.shape[0]
+        c += b.shape[1]
+    return out
+
+
+def optimal_assignment(cost):
+    """Row and column indices of the minimum-cost perfect matching of a
+    cost matrix (scipy ``linear_sum_assignment``)."""
+    from scipy.optimize import linear_sum_assignment
+
+    return linear_sum_assignment(cost)
+
+
 def multiset_match(left, right, match_tol: float) -> bool:
     """True when two complex multisets agree within ``match_tol`` under the
     optimal pairing."""
-    from scipy.optimize import linear_sum_assignment
-
     left = np.asarray(left, dtype=complex)
     right = np.asarray(right, dtype=complex)
     if left.size != right.size:
@@ -176,5 +219,5 @@ def multiset_match(left, right, match_tol: float) -> bool:
     if left.size == 0:
         return True
     cost = np.abs(left[:, None] - right[None, :])
-    rows, cols = linear_sum_assignment(cost)
+    rows, cols = optimal_assignment(cost)
     return bool(np.all(cost[rows, cols] <= match_tol))

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import config, numerics, signature, spectral
 from .errors import (IncompatibleDimensions, InvariantConstraintViolated,
@@ -49,7 +48,7 @@ def interleaved_skew(n: int) -> np.ndarray:
     if n % 2 != 0:
         raise IncompatibleDimensions(f"skew structure needs even dimension, got {n}")
     block = np.array([[0.0, -1.0], [1.0, 0.0]])
-    return sla.block_diag(*([block] * (n // 2)))
+    return numerics.block_diag(*([block] * (n // 2)))
 
 
 @dataclass(frozen=True)
@@ -105,8 +104,9 @@ def make_real_structure(kind: RealKind | tuple, n_plus: int, n_minus: int) -> Re
         if n_plus % 2 or n_minus % 2:
             raise IncompatibleDimensions(
                 f"kind (-1,1) needs even N+ and N-, got ({n_plus},{n_minus})")
-        s_mat = sla.block_diag(interleaved_skew(n_plus) if n_plus else np.zeros((0, 0)),
-                               interleaved_skew(n_minus) if n_minus else np.zeros((0, 0)))
+        empty = np.zeros((0, 0))
+        s_mat = numerics.block_diag(interleaved_skew(n_plus) if n_plus else empty,
+                                    interleaved_skew(n_minus) if n_minus else empty)
     R = RealStructure(kind=kind, K=K, S=s_mat.astype(float))
     R.validate()
     return R
@@ -425,7 +425,7 @@ def normalize_krein_pair(j_form, s_anti, eta: int, tau: int,
             vals.append(w[g])
         u_mat = np.hstack(cols)
         d = np.concatenate(vals)
-        s_std = sla.block_diag(*s_blocks)
+        s_std = numerics.block_diag(*s_blocks)
     else:
         # the antiunitary maps the d-eigenspace onto the (-d)-eigenspace
         pos = [g for g in groups if np.mean(w[g]) > 0]

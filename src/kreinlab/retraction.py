@@ -25,7 +25,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import config, numerics, signature, spectral
 from .errors import (DegenerateSubspace, FramePreparationFailed,
@@ -248,9 +247,9 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         return LiftResult(segment=seg, kernel_dim=0, kernel_inertia=(0, 0),
                           frame=np.zeros((n, 0)), perturbation=np.zeros((n, n)))
 
-    psi0 = sla.svd(p_re, check_finite=False)[0][:, :mult]
+    psi0 = np.linalg.svd(p_re)[0][:, :mult]
     j_psi = psi0.conj().T @ K.apply(psi0)
-    w_j = sla.eigvalsh(j_psi)
+    w_j = np.linalg.eigvalsh(j_psi)
     if np.min(np.abs(w_j)) <= t.zero_form:
         raise DegenerateSubspace("kernel form is numerically degenerate")
 
@@ -362,7 +361,7 @@ def block_decompose(h_mat, K: KreinStructure, e_frame,
     if inv_res > 1e-8 * max(1.0, numerics.norm(h_mat)):
         raise NotInvariant(f"E is not H-invariant (residual {inv_res:.3e})")
     j_psi_form = psi.conj().T @ K.apply(psi)
-    if np.min(np.abs(sla.eigvalsh(j_psi_form))) <= 1e-8:
+    if np.min(np.abs(np.linalg.eigvalsh(j_psi_form))) <= 1e-8:
         raise DegenerateSubspace("E is J-degenerate")
     # F = J E^perp
     eperp = numerics.kernel_frame(psi.conj().T, tol=t)
@@ -371,7 +370,7 @@ def block_decompose(h_mat, K: KreinStructure, e_frame,
     else:
         phi = np.zeros((K.dim, 0), dtype=complex)
     j_phi_form = phi.conj().T @ K.apply(phi)
-    if phi.shape[1] and np.min(np.abs(sla.eigvalsh(j_phi_form))) <= 1e-8:
+    if phi.shape[1] and np.min(np.abs(np.linalg.eigvalsh(j_phi_form))) <= 1e-8:
         raise DegenerateSubspace("F is J-degenerate")
 
     def normalizers(j_form):
@@ -453,7 +452,7 @@ def lagrangian_frames(h_flat, K: KreinStructure,
     nn = K.n_plus
     out = {}
     for label, proj in (("plus", p_up), ("minus", p_dn)):
-        frame = sla.svd(proj, check_finite=False)[0][:, :nn]
+        frame = np.linalg.svd(proj)[0][:, :nn]
         iso = numerics.norm(frame.conj().T @ K.apply(frame))
         if iso > 1e-7:
             raise NotLagrangian(f"range of P_{label} not isotropic ({iso:.3e})")
@@ -465,7 +464,8 @@ def lagrangian_frames(h_flat, K: KreinStructure,
     u_m, p_m = out["minus"]
     phi_p = np.vstack([u_p, np.eye(nn)]) / np.sqrt(2.0)
     phi_m = np.vstack([u_m, np.eye(nn)]) / np.sqrt(2.0)
-    cert = float(sla.svdvals(u_m.conj().T @ u_p - np.eye(nn))[-1])
+    cert = float(np.linalg.svd(u_m.conj().T @ u_p - np.eye(nn),
+                                compute_uv=False)[-1])
     if cert <= t.fredholm_cert:
         raise NotFredholmPair(
             f"u_-^* u_+ - 1 has smallest singular value {cert:.3e}")
@@ -628,8 +628,8 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
         certs = []
         for tv in np.linspace(0.0, 1.0, samples):
             um = u_minus_of(tv)
-            certs.append(float(sla.svdvals(
-                um.conj().T @ u_plus - np.eye(nn))[-1]))
+            certs.append(float(np.linalg.svd(
+                um.conj().T @ u_plus - np.eye(nn), compute_uv=False)[-1]))
             res = _class_residual(um, symmetry, s)
             if res > 1e-7:
                 raise PathBlocked(

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import config, numerics
 from .errors import (AmbiguousClassification, CorrectionFailed, MembershipError,
@@ -227,7 +226,7 @@ def spectral_partition(t_mat, kind: str | None = None,
         members = eigs[idx]
         p = riesz_projection(t_mat, members, all_eigs=eigs, tol=t)
         mult = int(round(np.trace(p).real))
-        u, s, _ = sla.svd(p, check_finite=False)
+        u, s, _ = np.linalg.svd(p)
         frame = u[:, :mult]
         c = SpectralCluster(center=complex(np.mean(members)),
                             eigenvalues=members, indices=list(idx),
@@ -355,7 +354,7 @@ def fredholm_corrector(h_mat, K: KreinStructure, lam: float,
     psi = numerics.kernel_frame(h_mat - lam * np.eye(n), tol=t)
     f_mat = K.apply(psi @ psi.conj().T) if psi.shape[1] else np.zeros((n, n), complex)
     corrected = h_mat - lam * np.eye(n) + f_mat
-    smin = sla.svdvals(corrected)[-1]
+    smin = np.linalg.svd(corrected, compute_uv=False)[-1]
     if smin <= 1e-8 * max(1.0, numerics.norm(h_mat)):
         raise CorrectionFailed(
             f"corrected operator still singular, smin = {smin:.3e}")

@@ -10,18 +10,16 @@ from __future__ import annotations
 import time
 
 import numpy as np
-import scipy.linalg as sla
 
 from . import config, numerics, signature, spectral
 from .cayley import transport_report
+from .config import SUITES
+from .errors import KreinLabError
 from .homotopy import OperatorPath, detect_events, scenario_library, track, \
     verify_krein_stability
 from .krein import make_standard, random_j_hermitian, random_j_unitary
 from .realsym import make_real_structure, random_member, standard_skew
 from .retraction import factorize_unitary, retract_to_model
-
-SUITES = ("riesz", "signature-law", "cayley", "kramers", "taxonomy",
-          "retraction", "factorization")
 
 ALL_KINDS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -74,7 +72,7 @@ def suite_riesz(n: int = 100, seed: int = 0,
         a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         try:
             part = spectral.spectral_partition(a, tol=t)
-        except Exception as exc:
+        except KreinLabError as exc:
             failures.append(f"instance {k}: {exc}")
             continue
         na = numerics.norm(a)
@@ -115,7 +113,7 @@ def suite_signature_law(n: int = 200, seed: int = 0, max_dim: int = 16,
             else random_j_unitary(K, rng.integers(2 ** 63))
         try:
             rep = signature.global_signature(a, K, kind, tol=t)
-        except Exception as exc:
+        except KreinLabError as exc:
             failures.append(f"instance {k} ({kind}, {n_plus},{n_minus}): {exc}")
             continue
         worst["membership"] = max(worst["membership"], rep.membership_residual)
@@ -138,7 +136,7 @@ def suite_cayley(n: int = 50, seed: int = 0, max_dim: int = 10,
         h = random_j_hermitian(K, rng.integers(2 ** 63))
         try:
             rep = transport_report(h, K, tol=t)
-        except Exception as exc:
+        except KreinLabError as exc:
             failures.append(f"instance {k}: {exc}")
             continue
         if not rep.inertia_equal:
@@ -168,7 +166,7 @@ def suite_kramers(n: int = 100, seed: int = 0,
             a = random_member(R, op_kind, rng.integers(2 ** 63))
             try:
                 rep = kramers_check(a, R, op_kind, tol=t)
-            except Exception as exc:
+            except KreinLabError as exc:
                 failures.append(f"kind {kind} instance {k}: {exc}")
                 continue
             if not rep.ok:
@@ -208,7 +206,7 @@ def suite_taxonomy(n: int = 500, seed: int = 0,
             try:
                 trajs = track(path, initial_grid=7, record_inertia=False, tol=t)
                 events = detect_events(trajs, path, tol=t)
-            except Exception as exc:
+            except KreinLabError as exc:
                 failures.append(f"kind {kind} path {k}: {exc}")
                 continue
             for e in events:
@@ -273,7 +271,7 @@ def suite_retraction(n: int = 100, seed: int = 0,
                 h = random_member(R, "hermitian", rng.integers(2 ** 63))
             try:
                 trace = retract_to_model(h, K, R, tol=t)
-            except Exception as exc:
+            except KreinLabError as exc:
                 failures.append(f"kind {kind} instance {k} (m={m}): {exc}")
                 continue
             worst["membership"] = max(worst["membership"],
@@ -292,7 +290,7 @@ def suite_retraction(n: int = 100, seed: int = 0,
 def random_gapped_symmetric_unitary(rng, dim: int) -> np.ndarray:
     """exp(i h) for real symmetric h with spectrum in (0.1, 2 pi - 0.1)."""
     g = rng.standard_normal((dim, dim))
-    q = sla.qr(g)[0]
+    q = np.linalg.qr(g)[0]
     theta = rng.uniform(0.1, 2 * np.pi - 0.1, size=dim)
     h = q @ np.diag(theta) @ q.T
     return numerics.matrix_exp(1j * h)
@@ -304,7 +302,7 @@ def random_gapped_odd_symmetric_unitary(rng, dim: int) -> np.ndarray:
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     h0 = (g + g.conj().T) / 2.0
     h0 = (h0 + s.T @ h0.T @ s) / 2.0
-    nrm = max(float(sla.norm(h0, 2)), 1e-12)
+    nrm = max(float(np.linalg.norm(h0, 2)), 1e-12)
     h = np.pi * np.eye(dim) + (np.pi - 0.1) * (h0 / nrm)
     return numerics.matrix_exp(1j * h)
 
@@ -322,7 +320,7 @@ def suite_factorization(n: int = 100, seed: int = 0,
         try:
             w = factorize_unitary(v, "symmetric", tol=t)
             res = numerics.norm(w.T @ w - v)
-        except Exception as exc:
+        except KreinLabError as exc:
             failures.append(f"symmetric {k}: {exc}")
             continue
         worst["symmetric"] = max(worst["symmetric"], res)
@@ -335,7 +333,7 @@ def suite_factorization(n: int = 100, seed: int = 0,
         try:
             w = factorize_unitary(v, "odd-symmetric", s=s, tol=t)
             res = numerics.norm(s.T @ w.T @ s @ w - v)
-        except Exception as exc:
+        except KreinLabError as exc:
             failures.append(f"odd-symmetric {k}: {exc}")
             continue
         worst["odd_symmetric"] = max(worst["odd_symmetric"], res)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from kreinlab import numerics
-from kreinlab.errors import NotGapped, NotHermitian, SingularMatrix
+from kreinlab.errors import NoConvergence, NotGapped, NotHermitian, SingularMatrix
 
 
 def random_complex(rng, n, m=None):
@@ -127,3 +128,66 @@ def test_multiset_match():
     assert numerics.multiset_match([1, 1j], [1j + 1e-9, 1], 1e-6)
     assert not numerics.multiset_match([1, 1j], [1, 2], 1e-6)
     assert not numerics.multiset_match([1], [1, 2], 1e-6)
+
+
+# ------------------------------------------------ numpy kernels vs scipy
+
+SIZES = (1, 2, 4, 7, 10, 16, 30)
+
+
+def test_block_diag_matches_scipy():
+    rng = np.random.default_rng(6)
+    skew = np.array([[0.0, -1.0], [1.0, 0.0]])
+    empty = np.zeros((0, 0))
+    cases = [
+        (skew,), (skew, skew, skew),
+        # make_real_structure with n_plus or n_minus zero
+        (empty, skew), (skew, empty), (empty, np.eye(4)),
+        (np.eye(2), random_complex(rng, 3), rng.standard_normal((2, 3))),
+        (np.arange(3),), (np.array([[1]], dtype=int), np.eye(2)),
+    ]
+    for blocks in cases:
+        got, want = numerics.block_diag(*blocks), sla.block_diag(*blocks)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+def test_eigvals_and_frames_bit_equal_to_scipy():
+    rng = np.random.default_rng(7)
+    for n in SIZES:
+        a = random_complex(rng, n)
+        assert np.array_equal(numerics.eigvals(a), sla.eigvals(a))
+        u, s, vh = sla.svd(a)
+        assert np.array_equal(numerics.polar_unitary(a), u @ vh)
+        # rank-deficient: the frames cut the scipy factors at the same rank
+        k = max(n // 2, 1)
+        low = random_complex(rng, n, k) @ random_complex(rng, k, n)
+        u, s, vh = sla.svd(low)
+        r = int(np.sum(s > 1e-8 * max(s[0], 1.0)))
+        assert np.array_equal(numerics.orthonormal_frame(low), u[:, :r])
+        assert np.array_equal(numerics.kernel_frame(low), vh.conj().T[:, r:])
+
+
+def test_herm_eig_matches_scipy_eigenvalues_and_inertia():
+    rng = np.random.default_rng(8)
+    for n in SIZES:
+        a = random_complex(rng, n)
+        a = (a + a.conj().T) / 2.0
+        w, v = numerics.herm_eig(a)
+        ref = sla.eigh(a, eigvals_only=True)
+        assert np.max(np.abs(w - ref)) <= 1e-13 * np.max(np.abs(ref))
+        assert (np.sum(w > 0), np.sum(w < 0)) == (np.sum(ref > 0), np.sum(ref < 0))
+        assert numerics.norm(a @ v - v * w) <= 1e-12 * numerics.norm(a)
+
+
+def test_lapack_failures_are_typed(monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("did not converge")
+
+    for name in ("eigvals", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, fail)
+    a = np.eye(3)
+    for call in (numerics.eigvals, numerics.herm_eig, numerics.orthonormal_frame,
+                 numerics.kernel_frame, numerics.polar_unitary):
+        with pytest.raises(NoConvergence):
+            call(a)
