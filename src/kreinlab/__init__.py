@@ -27,8 +27,8 @@ _EXPORTS = {
                 "is_member", "kramers_check", "make_real_structure",
                 "normalize_krein_pair", "random_member"),
     "spectral": ("ClusterPartition", "SpectralCluster", "cluster_eigenvalues",
-                 "fredholm_corrector", "riesz_projection", "spectral_partition",
-                 "spectral_subspaces"),
+                 "flat_partition", "fredholm_corrector", "riesz_projection",
+                 "spectral_partition", "spectral_subspaces"),
     "homotopy": ("BifurcationEvent", "OperatorPath", "Trajectory",
                  "detect_events", "scenario_library", "track",
                  "trajectories_to_csv", "verify_krein_stability"),

@@ -5,8 +5,9 @@ validated inputs, linear solves with singularity detection, general
 eigenvalues and hermitian eigendecompositions, orthonormal frames, the
 matrix exponential and logarithm, and optimal assignment.  The heavy lifting
 is LAPACK: eigenvalues, eigendecompositions and SVDs go through
-``numpy.linalg``; the four kernels numpy lacks (``expm``, ``logm``, the LU
-factorization whose pivots ``solve`` checks, and ``linear_sum_assignment``)
+``numpy.linalg``; the four kernels numpy lacks (``expm``, the complex Schur
+form, the LU factorization whose pivots ``solve`` checks, and
+``linear_sum_assignment``)
 come from scipy, which is imported inside those functions only, so a caller
 that never needs them never pays for importing scipy.  This is the only
 module that names scipy.  The contracts and failure modes are owned here:
@@ -163,25 +164,36 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
     so 1 is never in the spectrum of exp(i t h) interpolations that keep
     the window.  Raises :class:`NotGapped` if v has spectrum at the branch
     point (within ``fredholm_cert``).
+
+    A unitary is normal, so its complex Schur form v = Z T Z* has T diagonal
+    up to rounding: h = Z diag(theta) Z* with the eigenphases theta read from
+    diag(T), which also decides the gap.
     """
-    from scipy.linalg import logm
+    from scipy.linalg import schur
 
     from .errors import NotGapped
 
     t = config.get(tol)
     v = as_matrix(v, square=True, name="v")
     alpha = float(np.angle(branch_point))
-    lam = eigvals(v)
+    tri, z = schur(v, output="complex")
+    lam = np.diag(tri)
     if np.min(np.abs(lam - np.exp(1j * alpha))) < t.fredholm_cert:
         raise NotGapped(
             f"spectrum within {t.fredholm_cert:.1e} of branch point {branch_point}")
-    # principal log has its cut on the negative real axis; rotate it to sit
-    # at angle alpha, i.e. center the eigenvalue-angle window opposite it
+    # the principal angle has its cut on the negative real axis; rotate it to
+    # sit at angle alpha, i.e. center the eigenphase window opposite it
     center = float(np.angle(np.exp(1j * (alpha + np.pi))))
-    b = logm(v * np.exp(-1j * center))
-    h = -1j * b + center * np.eye(v.shape[0])
-    h = (h + h.conj().T) / 2.0
-    return h
+    theta = center + np.angle(lam * np.exp(-1j * center))
+    h = (z * theta) @ z.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+def unitary_exp(h, tol: config.ToleranceConfig | None = None) -> np.ndarray:
+    """exp(i h) of a hermitian h, from its eigendecomposition
+    h = W diag(w) W*: W diag(exp(i w)) W*."""
+    w, v = herm_eig(h, tol)
+    return (v * np.exp(1j * w)) @ v.conj().T
 
 
 def block_diag(*blocks) -> np.ndarray:
@@ -207,17 +219,3 @@ def optimal_assignment(cost):
     from scipy.optimize import linear_sum_assignment
 
     return linear_sum_assignment(cost)
-
-
-def multiset_match(left, right, match_tol: float) -> bool:
-    """True when two complex multisets agree within ``match_tol`` under the
-    optimal pairing."""
-    left = np.asarray(left, dtype=complex)
-    right = np.asarray(right, dtype=complex)
-    if left.size != right.size:
-        return False
-    if left.size == 0:
-        return True
-    cost = np.abs(left[:, None] - right[None, :])
-    rows, cols = optimal_assignment(cost)
-    return bool(np.all(cost[rows, cols] <= match_tol))

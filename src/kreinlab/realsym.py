@@ -332,13 +332,14 @@ def full_invariant_report(a, R: RealStructure | None, kind: str,
 def symmetric_unitary_sqrt(u, tol: config.ToleranceConfig) -> np.ndarray:
     """Symmetric b with b @ b = b @ b.T = u, for symmetric unitary u."""
     lam = numerics.eigvals(u)
-    # branch ray through the largest spectral gap keeps logm well posed
+    # branch ray through the largest spectral gap keeps the logarithm
+    # well posed
     angles = np.sort(np.angle(lam))
     gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
     alpha = angles[int(np.argmax(gaps))] + gaps.max() / 2.0
     h = numerics.unitary_log(u, branch_point=np.exp(1j * alpha), tol=tol)
     h = (h + h.T) / 2.0
-    return numerics.matrix_exp(0.5j * h)
+    return numerics.unitary_exp(0.5 * h, tol)
 
 
 def antisymmetric_unitary_factor(u, s, tol: config.ToleranceConfig) -> np.ndarray:
@@ -354,7 +355,7 @@ def antisymmetric_unitary_factor(u, s, tol: config.ToleranceConfig) -> np.ndarra
     alpha = angles[int(np.argmax(gaps))] + gaps.max() / 2.0
     h = numerics.unitary_log(q, branch_point=np.exp(1j * alpha), tol=tol)
     h = (h + s.T @ h.T @ s) / 2.0
-    return s @ numerics.matrix_exp(0.5j * h)
+    return s @ numerics.unitary_exp(0.5 * h, tol)
 
 
 def _antiunitary_block(frame, s_full) -> np.ndarray:

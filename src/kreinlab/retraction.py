@@ -17,6 +17,14 @@ The terminal operator is i (P_{+,1} - P_{-,1}) = i [[0, u], [u*, 0]]; its
 lower-left block in the J-grading is the terminal Fredholm block A = u*,
 whose symmetry class is forced by the kind: real for (1,1), anti-symmetric
 for (-1,-1), quaternionic for (-1,1), symmetric for (1,-1).
+
+Only the input H is partitioned by contour quadrature.  The flattened,
+lifted and terminal operators are flat, so their projections are the
+Lagrange interpolants of :func:`spectral.flat_partition`.  Flatten and lift
+are affine in t, so their membership is certified at the two endpoints; the
+straightening path is sampled.  The straightening reads every u_-(t) from
+one eigendecomposition of its logarithm h and certifies all its samples
+with one stacked SVD.
 """
 
 from __future__ import annotations
@@ -38,7 +46,11 @@ from .realsym import (RealStructure, antisymmetric_unitary_factor, conj,
                       standard_skew, symmetric_unitary_sqrt)
 
 STAGES = ("flatten", "lift", "straighten", "final")
-SEGMENT_SAMPLES = 9   # membership samples per segment in the final check
+SEGMENT_SAMPLES = 9   # membership samples on the straightening segment
+# Flatten and lift are affine in t, and both membership residuals are norms
+# of expressions linear in H, hence convex in t: on these segments the
+# endpoint residuals bound every interior one.
+AFFINE_STAGES = ("flatten", "lift")
 
 
 @dataclass
@@ -105,6 +117,7 @@ def _require_membership(h_mat, K, R, t):
     if not member:
         raise MembershipError("operator is not in the required class",
                               residual=member.residual)
+    return member
 
 
 def _segment(stage, sampler, K, R, start, end, name) -> PathSegment:
@@ -236,8 +249,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         raise FramePreparationFailed(
             f"lift requires spectrum in {{-i,0,i}}, off by {res_flat:.3e}")
     n = K.dim
-    p_up, p_dn, p_re = _halfplane_projections(
-        spectral.spectral_partition(h_flat, "hermitian", tol=t))
+    p_up, p_dn, p_re = _halfplane_projections(spectral.flat_partition(h_flat, tol=t))
     mult = int(round(np.trace(p_re).real))
     if mult == 0:
         def sampler(s):
@@ -445,8 +457,7 @@ def lagrangian_frames(h_flat, K: KreinStructure,
             f"({K.n_plus},{K.n_minus})")
     h_flat = numerics.as_matrix(h_flat, square=True, name="H")
     K.check_dim(h_flat)
-    p_up, p_dn, p_re = _halfplane_projections(
-        spectral.spectral_partition(h_flat, "hermitian", tol=t))
+    p_up, p_dn, p_re = _halfplane_projections(spectral.flat_partition(h_flat, tol=t))
     if int(round(np.trace(p_re).real)) != 0:
         raise NotLagrangian("operator still has a kernel; lift it first")
     nn = K.n_plus
@@ -506,7 +517,7 @@ def factorize_unitary(v, cls: str, s=None, branch_point=None,
             raise NotInClass(f"not symmetric (residual {dev:.3e})")
         h = numerics.unitary_log(v, branch_point=branch_point, tol=t)
         h = (h + h.T) / 2.0
-        return numerics.matrix_exp(0.5j * h)
+        return numerics.unitary_exp(0.5 * h, t)
     if cls == "odd-symmetric":
         if s is None:
             s = standard_skew(v.shape[0])
@@ -515,7 +526,7 @@ def factorize_unitary(v, cls: str, s=None, branch_point=None,
             raise NotInClass(f"not odd-symmetric (residual {dev:.3e})")
         h = numerics.unitary_log(v, branch_point=branch_point, tol=t)
         h = (h + s.T @ h.T @ s) / 2.0
-        return s @ numerics.matrix_exp(0.5j * h)
+        return s @ numerics.unitary_exp(0.5 * h, t)
     raise ValueError(f"unknown class {cls!r}")
 
 
@@ -611,30 +622,36 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
     except NotGapped as exc:
         raise NotFredholmPair(f"transition unitary not gapped at 1: {exc}") from exc
 
-    def v_of(tv):
-        return numerics.matrix_exp(1j * ((1.0 - tv) * h + tv * np.pi * np.eye(nn)))
-
+    # v_t = exp(i((1-t) h + t pi)) = W diag(exp(i((1-t) theta + t pi))) W*
+    # from the one eigendecomposition h = W diag(theta) W*; u_-(t) is
+    # left @ diag(exp(-i((1-t) theta + t pi))) @ right
+    theta, w = numerics.herm_eig(h, t)
     if symmetry == "symmetric":
-        def u_minus_of(tv):
-            return v_plus @ v_of(tv).conj().T @ v_plus
+        left, right = v_plus @ w, w.conj().T @ v_plus
     elif symmetry == "odd-symmetric":
-        def u_minus_of(tv):
-            return v_plus.T @ v_of(tv).conj().T @ s @ v_plus
+        left, right = v_plus.T @ w, w.conj().T @ s @ v_plus
     else:
-        def u_minus_of(tv):
-            return u_plus @ v_of(tv).conj().T
+        left, right = u_plus @ w, w.conj().T
+
+    def u_minus_at(ts):
+        """u_-(t) for every t of ``ts``, stacked along the first axis."""
+        ts = np.asarray(ts, dtype=float)[:, None]
+        phases = np.exp(-1j * ((1.0 - ts) * theta + np.pi * ts))
+        return (left * phases[:, None, :]) @ right
+
+    def u_minus_of(tv):
+        return u_minus_at([tv])[0]
 
     def certify(samples):
-        certs = []
-        for tv in np.linspace(0.0, 1.0, samples):
-            um = u_minus_of(tv)
-            certs.append(float(np.linalg.svd(
-                um.conj().T @ u_plus - np.eye(nn), compute_uv=False)[-1]))
+        ts = np.linspace(0.0, 1.0, samples)
+        u_ms = u_minus_at(ts)
+        for tv, um in zip(ts, u_ms):
             res = _class_residual(um, symmetry, s)
             if res > 1e-7:
                 raise PathBlocked(
                     f"class residual {res:.3e} at t={tv:.3f}")
-        return certs
+        gaps = u_ms.conj().transpose(0, 2, 1) @ u_plus - np.eye(nn)
+        return np.linalg.svd(gaps, compute_uv=False)[:, -1].tolist()
 
     certs = certify(CERT_SAMPLES)
     if min(certs) <= t.fredholm_cert:
@@ -753,14 +770,16 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
             f"segments do not chain: gap {chain_gap:.3e}"))
     worst_membership = 0.0
     for seg in segments:
+        samples = 2 if seg.stage in AFFINE_STAGES else SEGMENT_SAMPLES
         worst_membership = max(worst_membership, seg.path.verify_membership(
-            n_samples=SEGMENT_SAMPLES, tol_value=t.path_membership, tol=t))
+            n_samples=samples, tol_value=t.path_membership, tol=t))
     spec_res = flat_spectrum_residual(terminal)
     if spec_res > t.terminal_spectrum:
         raise StageError("final", NotInvariant(
             f"terminal spectrum off {{-i,0,i}} by {spec_res:.3e}"))
-    sig_terminal = signature.global_signature(terminal, K, "hermitian",
-                                              tol=t).global_sig
+    member = _require_membership(terminal, K, None, t)
+    sig_terminal = signature.invariant_report(
+        spectral.flat_partition(terminal, tol=t), K, member.residual, t).global_sig
     if sig_terminal != sig_initial:
         raise StageError("final", NotInvariant(
             f"Sig changed along the retraction: {sig_initial} -> {sig_terminal}"))

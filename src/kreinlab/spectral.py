@@ -8,6 +8,9 @@ rule evaluates all its resolvents with one inverse of the stacked
 ``(points, n, n)`` array of ``z_k I - T``.  The number of points doubles
 until idempotency converges; the doubled rule contains every node of the
 one before it, so each doubling evaluates only the new midpoint nodes.
+A flat operator (spectrum in {i, 0, -i}) needs no quadrature: its
+projections are polynomials in it (:func:`flat_partition`), validated by
+the same checks.
 
 Region classification (on the real axis / unit circle versus off it) is
 tolerance-banded: eigenvalues inside the band are "on", eigenvalues in the
@@ -220,11 +223,43 @@ def spectral_partition(t_mat, kind: str | None = None,
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
     eigs = numerics.eigvals(t_mat)
     delta = default_delta(eigs, t)
-    groups = cluster_eigenvalues(eigs, delta)
+    projected = ((idx, riesz_projection(t_mat, eigs[idx], all_eigs=eigs, tol=t))
+                 for idx in cluster_eigenvalues(eigs, delta))
+    return _validated_partition(t_mat, eigs, projected, delta, kind, t)
+
+
+def flat_partition(h_mat, tol: config.ToleranceConfig | None = None) -> ClusterPartition:
+    """Hermitian-tagged partition of a flat operator (spectrum in {i, 0, -i})
+    without quadrature.
+
+    The projections of a flat H (H^3 = -H) are its Lagrange interpolants on
+    the nodes i, 0, -i: P_+ = -(H^2 + iH)/2, P_0 = 1 + H^2 and
+    P_- = -(H^2 - iH)/2.  Each eigenvalue joins the node nearest to it, and
+    the clusters pass the same validation as those of
+    :func:`spectral_partition`, so an operator that is not flat raises
+    :class:`QuadratureDivergence`.
+    """
+    t = config.get(tol)
+    h_mat = numerics.as_matrix(h_mat, square=True, name="H")
+    eigs = numerics.eigvals(h_mat)
+    h2 = h_mat @ h_mat
+    interpolants = (-(h2 + 1j * h_mat) / 2.0, np.eye(h_mat.shape[0]) + h2,
+                    -(h2 - 1j * h_mat) / 2.0)
+    nearest = np.argmin(np.abs(eigs[:, None] - np.array([1j, 0.0, -1j])), axis=1)
+    groups = [np.flatnonzero(nearest == k).tolist() for k in range(3)]
+    projected = [(idx, p) for idx, p in zip(groups, interpolants) if idx]
+    return _validated_partition(h_mat, eigs, projected, default_delta(eigs, t),
+                                "hermitian", t)
+
+
+def _validated_partition(t_mat, eigs, projected, delta, kind,
+                         t: config.ToleranceConfig) -> ClusterPartition:
+    """Partition of ``t_mat`` from ``(indices, projection)`` pairs, one per
+    eigenvalue cluster: each cluster is validated as it arrives, then the
+    whole partition, and with ``kind`` every cluster is region-tagged."""
     clusters = []
-    for idx in groups:
+    for idx, p in projected:
         members = eigs[idx]
-        p = riesz_projection(t_mat, members, all_eigs=eigs, tol=t)
         mult = int(round(np.trace(p).real))
         u, s, _ = np.linalg.svd(p)
         frame = u[:, :mult]

@@ -36,8 +36,8 @@ EXPORTS = {
                 "is_member", "kramers_check", "make_real_structure",
                 "normalize_krein_pair", "random_member"],
     "spectral": ["ClusterPartition", "SpectralCluster", "cluster_eigenvalues",
-                 "fredholm_corrector", "riesz_projection", "spectral_partition",
-                 "spectral_subspaces"],
+                 "flat_partition", "fredholm_corrector", "riesz_projection",
+                 "spectral_partition", "spectral_subspaces"],
     "homotopy": ["BifurcationEvent", "OperatorPath", "Trajectory",
                  "detect_events", "scenario_library", "track",
                  "trajectories_to_csv", "verify_krein_stability"],
@@ -99,6 +99,9 @@ def test_cli_loads_only_what_its_command_uses(tmp_path):
     K = krein.make_standard(2, 2)
     fileio.write_matrix_file(tmp_path / "u.json", krein.random_j_unitary(K, 4), K)
     fileio.write_matrix_file(tmp_path / "h.json", krein.random_j_hermitian(K, 5), K)
+    R_sym = make_real_structure((1, -1), 2, 2)
+    fileio.write_matrix_file(tmp_path / "s.json",
+                             random_member(R_sym, "hermitian", 6), R_sym.K, R_sym)
     code = """
 import contextlib, io, json, sys
 import kreinlab.cli as cli
@@ -112,13 +115,14 @@ with contextlib.redirect_stdout(io.StringIO()):
              cli.main(["invariants", "u.json", "--kind", "unitary"])]
 out["invariants"] = (codes, loaded(["scipy"] + %r))
 with contextlib.redirect_stdout(io.StringIO()):
-    code = cli.main(["retract", "h.json"])
-out["retract"] = (code, loaded(["scipy.optimize"]))
+    codes = [cli.main(["retract", "h.json"]), cli.main(["retract", "s.json"])]
+out["retract"] = (codes, loaded(["scipy.optimize", "scipy.sparse",
+                                 "scipy.special"]))
 print(json.dumps(out))
 """ % HEAVY
     got = run_fresh(code, tmp_path)
     assert got["invariants"] == [[0, 0], []]
-    assert got["retract"] == [0, []]
+    assert got["retract"] == [[0, 0], []]
 
 
 def test_verify_records_typed_errors_and_propagates_others(monkeypatch):

@@ -6,6 +6,7 @@ import scipy.linalg as sla
 
 from kreinlab import numerics
 from kreinlab.errors import NoConvergence, NotGapped, NotHermitian, SingularMatrix
+from helpers import multiset_match
 
 
 def random_complex(rng, n, m=None):
@@ -122,12 +123,69 @@ def test_unitary_log_roundtrip_and_window():
 def test_unitary_log_not_gapped():
     with pytest.raises(NotGapped):
         numerics.unitary_log(np.eye(3), branch_point=1.0)
+    v = np.diag(np.exp(1j * np.array([0.3, 2.0 + 1e-9, 4.0])))
+    with pytest.raises(NotGapped):
+        numerics.unitary_log(v, branch_point=np.exp(2.0j))
+
+
+def logm_reference(v, branch_point):
+    """The unitary logarithm through scipy's logm: rotate the principal cut
+    to the branch point, take logm, symmetrize."""
+    alpha = float(np.angle(branch_point))
+    center = float(np.angle(np.exp(1j * (alpha + np.pi))))
+    h = -1j * sla.logm(v * np.exp(-1j * center)) + center * np.eye(v.shape[0])
+    return (h + h.conj().T) / 2.0
+
+
+def gapped_unitary(rng, n, branch_point, threefold=False):
+    """Random unitary and its eigenphases, which keep at least 0.2 from the
+    branch point; with ``threefold`` one eigenvalue is triple, hidden by a
+    random unitary similarity."""
+    alpha = float(np.angle(branch_point))
+    phases = alpha + rng.uniform(0.2, 2 * np.pi - 0.2, n)
+    if threefold:
+        phases[:3] = phases[0]
+    q = np.linalg.qr(random_complex(rng, n))[0]
+    return (q * np.exp(1j * phases)) @ q.conj().T, phases
+
+
+BRANCH_POINTS = (1.0, np.exp(2.0j), np.exp(-0.5j))
+
+
+@pytest.mark.parametrize("branch_point", BRANCH_POINTS)
+def test_unitary_log_schur_matches_logm_and_window(branch_point):
+    rng = np.random.default_rng(9)
+    # the window (center - pi, center + pi) opens at the branch point
+    center = float(np.angle(-branch_point))
+    assert abs(np.exp(1j * (center - np.pi)) - branch_point) <= 1e-15
+    for n in (1, 2, 4, 7, 16, 30):
+        for threefold in ((False, True) if n >= 3 else (False,)):
+            v, phases = gapped_unitary(rng, n, branch_point, threefold)
+            h = numerics.unitary_log(v, branch_point=branch_point)
+            assert numerics.norm(sla.expm(1j * h) - v) <= 1e-12
+            assert numerics.norm(h - logm_reference(v, branch_point)) <= 1e-12
+            w = np.linalg.eigvalsh(h)
+            assert np.all(w > center - np.pi) and np.all(w < center + np.pi)
+            want = center + np.angle(np.exp(1j * (phases - center)))
+            np.testing.assert_allclose(w, np.sort(want), atol=1e-12)
+
+
+def test_unitary_exp_matches_expm():
+    rng = np.random.default_rng(10)
+    for n in (1, 2, 4, 7, 16, 30):
+        a = random_complex(rng, n)
+        h = (a + a.conj().T) / 2.0
+        assert numerics.norm(numerics.unitary_exp(h) - sla.expm(1j * h)) <= 1e-12
+        # inverse of unitary_log within its window
+        v, _ = gapped_unitary(rng, n, 1.0)
+        h = numerics.unitary_log(v)
+        assert numerics.norm(numerics.unitary_exp(h) - v) <= 1e-12
 
 
 def test_multiset_match():
-    assert numerics.multiset_match([1, 1j], [1j + 1e-9, 1], 1e-6)
-    assert not numerics.multiset_match([1, 1j], [1, 2], 1e-6)
-    assert not numerics.multiset_match([1], [1, 2], 1e-6)
+    assert multiset_match([1, 1j], [1j + 1e-9, 1], 1e-6)
+    assert not multiset_match([1, 1j], [1, 2], 1e-6)
+    assert not multiset_match([1], [1, 2], 1e-6)
 
 
 # ------------------------------------------------ numpy kernels vs scipy

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from kreinlab import krein, realsym, retraction, spectral
+from kreinlab import homotopy, krein, realsym, retraction, spectral
 
 
 def count_outer_calls(monkeypatch, functions, first_arg=None) -> dict:
@@ -56,11 +56,38 @@ def test_retraction_partitions_h_once(monkeypatch):
     K = krein.make_standard(2, 2)
     h = krein.random_j_hermitian(K, 5)
     partitions = count_outer_calls(monkeypatch, [spectral.spectral_partition])
+    flat = count_outer_calls(monkeypatch, [spectral.flat_partition])
     trace = retraction.retract_to_model(h, K)
-    # H (shared by Sig and flatten), the flat and the lifted operators, and
-    # the terminal operator
-    assert partitions["calls"] == 4
+    # quadrature only for H (shared by Sig and flatten); the flat, the
+    # lifted and the terminal operators are partitioned by interpolation
+    assert partitions["calls"] == 1
+    assert flat["calls"] == 3
     assert trace.sig_initial == trace.sig_terminal == 0
+
+
+@pytest.mark.parametrize("kind, m", [(None, 2), ((1, -1), 3), ((-1, -1), 3)])
+def test_retraction_path_membership_samples(monkeypatch, kind, m):
+    K = krein.make_standard(m, m)
+    if kind is None:
+        R, h = None, krein.random_j_hermitian(K, 5)
+    else:
+        R = realsym.make_real_structure(kind, m, m)
+        h = realsym.random_member(R, "hermitian", 5)
+    samples = []
+    residual = homotopy.OperatorPath.membership_residual
+
+    def counted(path, t, tol=None):
+        samples.append((path.name, t))
+        return residual(path, t, tol=tol)
+
+    monkeypatch.setattr(homotopy.OperatorPath, "membership_residual", counted)
+    trace = retraction.retract_to_model(h, K, R)
+    # the affine flatten and lift segments are certified at their endpoints,
+    # the straightening segment at SEGMENT_SAMPLES points
+    straight = trace.segments[2].path.name
+    assert [name for name, _ in samples] == \
+        ["flatten"] * 2 + ["lift"] * 2 + [straight] * 9
+    assert [t for name, t in samples if name != straight] == [0.0, 1.0] * 2
 
 
 def test_retraction_checks_h_membership_once(monkeypatch):

@@ -4,10 +4,14 @@ import json
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
-from kreinlab import krein, numerics, retraction, signature
+from kreinlab import config, krein, numerics, retraction, signature
 from kreinlab.errors import IncompatibleDimensions, NotGapped, NotInClass
-from kreinlab.realsym import make_real_structure, random_member, standard_skew
+from kreinlab.realsym import (antisymmetric_unitary_factor, interleaved_skew,
+                              make_real_structure, random_member, standard_skew,
+                              symmetric_unitary_sqrt)
+from helpers import multiset_match
 
 ALL_KINDS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -75,7 +79,7 @@ def test_block_decompose_spectra_union():
         dec = retraction.block_decompose(h, K, e_frame)
         lam = np.concatenate([np.linalg.eigvals(dec.H_psi),
                               np.linalg.eigvals(dec.H_phi)])
-        assert numerics.multiset_match(lam, np.linalg.eigvals(h), 1e-7)
+        assert multiset_match(lam, np.linalg.eigvals(h), 1e-7)
 
 
 def test_lift_zero_operator_plain():
@@ -214,6 +218,55 @@ def test_straighten_generic_endpoint_orthogonal():
     assert numerics.norm(p_m - p_m.conj().T) <= 1e-8
     assert min(res.certificates) > 1e-8
     np.testing.assert_allclose(res.u_minus_of(1.0), -u_p, atol=1e-9)
+
+
+def lagrangian_pair(kind, m, seed):
+    """(u_+, u_-) of a lifted retraction operator, with the straightening
+    option and skew form that ``retract_to_model`` uses for the kind."""
+    K = krein.make_standard(m, m)
+    if kind is None:
+        R, h = None, krein.random_j_hermitian(K, seed)
+    else:
+        R = make_real_structure(kind, m, m)
+        h = random_member(R, "hermitian", seed)
+    seg = retraction.spectral_flatten(h, K, R)
+    lift = retraction.lift_kernel(seg.end, K, R)
+    frames = retraction.lagrangian_frames(lift.segment.end, K)
+    s = interleaved_skew(m) if kind == (-1, 1) else None
+    return frames.u_plus, frames.u_minus, retraction._symmetry_option(kind), s
+
+
+def reference_u_minus(res, tv):
+    """u_-(t) from one scipy expm of the generator, as the formulas of
+    ``straighten`` state it."""
+    u_plus, h, nn = res.u_plus, res.log_generator, res.u_plus.shape[0]
+    v_t = sla.expm(1j * ((1.0 - tv) * h + tv * np.pi * np.eye(nn)))
+    if res.symmetry == "symmetric":
+        v_plus = symmetric_unitary_sqrt(u_plus, config.DEFAULT)
+        return v_plus @ v_t.conj().T @ v_plus
+    if res.symmetry == "odd-symmetric":
+        s = standard_skew(nn)
+        v_plus = antisymmetric_unitary_factor(u_plus, s, config.DEFAULT)
+        return v_plus.T @ v_t.conj().T @ s @ v_plus
+    return u_plus @ v_t.conj().T
+
+
+@pytest.mark.parametrize("kind", (None,) + ALL_KINDS)
+def test_straighten_stacked_certificates_match_expm_loop(kind):
+    for m in (2, 4):
+        u_p, u_m, symmetry, s = lagrangian_pair(kind, m, 20 + m)
+        res = retraction.straighten(u_p, u_m, symmetry=symmetry, s=s)
+        assert res.symmetry == symmetry
+        ts = np.linspace(0.0, 1.0, len(res.certificates))
+        assert len(ts) in (retraction.CERT_SAMPLES, 2 * retraction.CERT_SAMPLES)
+        want = []
+        for tv in ts:
+            um = reference_u_minus(res, tv)
+            assert numerics.norm(res.u_minus_of(tv) - um) <= 1e-12
+            want.append(np.linalg.svd(um.conj().T @ u_p - np.eye(m),
+                                      compute_uv=False)[-1])
+        np.testing.assert_allclose(res.certificates, want, rtol=0, atol=1e-12)
+        assert numerics.norm(res.u_minus_of(0.0) - u_m) <= 1e-12
 
 
 def test_retract_skew_pair_is_fixed_point():

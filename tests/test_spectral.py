@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from kreinlab import krein, numerics, spectral
+from kreinlab import krein, numerics, retraction, signature, spectral
 from kreinlab.errors import (AmbiguousClassification, NoSeparatingContour,
-                             UnmatchedReflection)
+                             QuadratureDivergence, UnmatchedReflection)
+from kreinlab.realsym import make_real_structure, random_member
 
 
 def test_cluster_eigenvalues_examples():
@@ -178,3 +179,58 @@ def test_fredholm_corrector_random_invertibility():
         f = spectral.fredholm_corrector(h, K, real_eigs[0])
         corrected = h - real_eigs[0] * np.eye(4) + f
         assert np.linalg.svd(corrected, compute_uv=False)[-1] > 1e-8
+
+
+# ------------------------------------------------------ flat partitions
+
+FLAT_CASES = [(kind, m) for kind in (None, (1, 1), (-1, -1), (-1, 1), (1, -1))
+              for m in range(2, 7) if kind != (-1, 1) or m % 2 == 0]
+
+
+def flat_operators(kind, m):
+    """The flatten, lift and terminal operators of one retraction."""
+    K = krein.make_standard(m, m)
+    if kind is None:
+        R, h = None, krein.random_j_hermitian(K, 10 + m)
+    else:
+        R = make_real_structure(kind, m, m)
+        h = random_member(R, "hermitian", 10 + m)
+    trace = retraction.retract_to_model(h, K, R)
+    return K, [trace.segments[0].end, trace.segments[1].end, trace.terminal]
+
+
+@pytest.mark.parametrize("kind, m", FLAT_CASES)
+def test_flat_partition_matches_quadrature(kind, m):
+    K, ops = flat_operators(kind, m)
+    for h in ops:
+        flat = spectral.flat_partition(h)
+        quad = spectral.spectral_partition(h, "hermitian")
+        assert flat.kind == "hermitian"
+        assert len(flat.clusters) == len(quad.clusters)
+        for c in flat.clusters:
+            q = quad.clusters[quad.cluster_at(c.center)]
+            assert numerics.norm(c.projection - q.projection) <= 1e-10
+            assert c.region == q.region
+            assert c.multiplicity == q.multiplicity
+            assert signature.inertia(c, K) == signature.inertia(q, K)
+
+
+def test_flat_partition_nodes_and_kernel():
+    # i [[0, 1], [1, 0]] plus a one-dimensional kernel
+    h = np.zeros((3, 3), dtype=complex)
+    h[0, 1] = h[1, 0] = 1j
+    part = spectral.flat_partition(h)
+    centers = sorted((c.center.imag, c.region, c.multiplicity)
+                     for c in part.clusters)
+    assert [(round(y, 9), r, k) for y, r, k in centers] == [
+        (-1.0, "lower-half", 1), (0.0, "real-axis", 1), (1.0, "upper-half", 1)]
+    kernel = part.clusters[part.cluster_at(0.0)].projection
+    np.testing.assert_allclose(kernel, np.diag([0.0, 0.0, 1.0]), atol=1e-14)
+
+
+def test_flat_partition_rejects_non_flat():
+    rng = np.random.default_rng(11)
+    q = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    h = q @ np.diag([1j, 0.5j, 0.0, -1j]) @ np.linalg.inv(q)
+    with pytest.raises(QuadratureDivergence):
+        spectral.flat_partition(h)
