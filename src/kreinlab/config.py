@@ -19,12 +19,9 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class ToleranceConfig:
     # dense linear algebra substrate
-    solve_rtol: float = 1e-10        # residual bound for linear solves
     singular_pivot: float = 1e-13    # pivot threshold, relative to ||A||
     herm_rtol: float = 1e-10         # allowed ||A - A*|| / ||A||
-    ortho: float = 1e-10             # frame orthonormality
     rank: float = 1e-8               # default numerical-rank threshold
-    expm: float = 1e-10
 
     # membership predicates
     membership: float = 1e-8
@@ -46,7 +43,6 @@ class ToleranceConfig:
 
     # cayley transforms
     spectrum_clearance: float = 1e-8  # dist(z, spectrum) lower bound
-    roundtrip: float = 1e-7
 
     # paths
     min_step: float = 1e-6

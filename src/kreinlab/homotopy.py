@@ -10,6 +10,11 @@ PASS_THROUGH.  Events are located by bisection and reported with a bracket,
 not an exact collision time: colliding eigenvalues move like square roots,
 so the collision point is estimated from the cluster centroid just before
 the collision (quadratically accurate).
+
+A path owns its samples: :meth:`OperatorPath.sample` computes the matrix and
+its eigenvalues once per parameter value, and tracking, event bisection and
+the cluster-inertia readings all share that sample, since eigenvalue
+branches are functions of the parameter alone.
 """
 
 from __future__ import annotations
@@ -44,9 +49,20 @@ class OperatorPath:
     t_end: float = 1.0
     name: str = ""
     expected_events: list = field(default_factory=list)
+    _samples: dict = field(default_factory=dict, init=False, repr=False,
+                           compare=False)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sampler(float(t))
+
+    def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
+        """``(matrix, eigenvalues)`` at t, computed once per parameter value."""
+        t = float(t)
+        hit = self._samples.get(t)
+        if hit is None:
+            a = self(t)
+            hit = self._samples[t] = (a, numerics.eigvals(a))
+        return hit
 
     @property
     def span(self) -> float:
@@ -153,51 +169,47 @@ class BifurcationEvent:
         }
 
 
-class _PathSession:
-    """Caches eigenvalue and classification work per parameter value."""
+def _region_tag(path: OperatorPath, lam: complex,
+                tol: config.ToleranceConfig) -> str | None:
+    kind = "hermitian" if path.kind == "hermitian" else "unitary"
+    try:
+        return spectral._region_of(lam, kind, tol.eps_region,
+                                   tol.ambiguous_factor)
+    except AmbiguousClassification:
+        return None
 
-    def __init__(self, path: OperatorPath, tol: config.ToleranceConfig):
-        self.path = path
-        self.tol = tol
-        self._eigs: dict[float, np.ndarray] = {}
 
-    def eigs(self, t: float) -> np.ndarray:
-        t = float(t)
-        if t not in self._eigs:
-            self._eigs[t] = numerics.eigvals(self.path(t))
-        return self._eigs[t]
+def _regions(path: OperatorPath, t: float, tol: config.ToleranceConfig):
+    """Region tags for all eigenvalues at t; on ambiguity, retries at up to
+    four jittered parameter values."""
+    span = max(path.span, 1e-12)
+    for k in range(5):
+        tt = t if k == 0 else t + k * 1e-9 * span
+        eigs = path.sample(tt)[1]
+        tags = [_region_tag(path, l, tol) for l in eigs]
+        if None not in tags:
+            return tt, eigs, tags
+    eigs = path.sample(t)[1]
+    return t, eigs, [_region_tag(path, l, tol) for l in eigs]
 
-    def region_of(self, lam: complex) -> str | None:
-        kind = "hermitian" if self.path.kind == "hermitian" else "unitary"
-        try:
-            return spectral._region_of(lam, kind, self.tol.eps_region,
-                                       self.tol.ambiguous_factor)
-        except AmbiguousClassification:
-            return None
 
-    def regions(self, t: float, jitter_tries: int = 4):
-        """Region tags for all eigenvalues at t; jitters t on ambiguity."""
-        span = max(self.path.span, 1e-12)
-        for k in range(jitter_tries + 1):
-            tt = t if k == 0 else t + k * 1e-9 * span
-            eigs = self.eigs(tt)
-            tags = [self.region_of(l) for l in eigs]
-            if None not in tags:
-                return tt, eigs, tags
-        return t, self.eigs(t), [self.region_of(l) for l in self.eigs(t)]
+def _on_count(path: OperatorPath, t: float, tol: config.ToleranceConfig) -> int:
+    _, _, tags = _regions(path, t, tol)
+    return sum(1 for g in tags if g in spectral.ON_REGIONS)
 
-    def on_count(self, t: float) -> int:
-        _, _, tags = self.regions(t)
-        return sum(1 for g in tags if g in spectral.ON_REGIONS)
 
-    def cluster_inertia(self, t: float, members) -> InertiaPair:
-        """Inertia of the cluster containing the given eigenvalues at t."""
-        a = self.path(t)
-        eigs = self.eigs(t)
-        p = spectral.riesz_projection(a, members, all_eigs=eigs, tol=self.tol)
+def _cluster_inertia(path: OperatorPath, t: float, members,
+                     tol: config.ToleranceConfig) -> InertiaPair | None:
+    """Inertia of the cluster containing the given eigenvalues at t, or
+    ``None`` when its projection or restricted form cannot be decided."""
+    try:
+        a, eigs = path.sample(t)
+        p = spectral.riesz_projection(a, members, all_eigs=eigs, tol=tol)
         mult = int(round(np.trace(p).real))
         u = np.linalg.svd(p)[0][:, :mult]
-        return form_inertia(u, self.path.structure, tol=self.tol)
+        return form_inertia(u, path.structure, tol=tol)
+    except KreinLabError:
+        return None
 
 
 def track(path: OperatorPath, initial_grid: int = 9,
@@ -215,14 +227,13 @@ def track(path: OperatorPath, initial_grid: int = 9,
     t = config.get(tol)
     if initial_grid < 2:
         raise ValueError("initial_grid must be at least 2")
-    sess = _PathSession(path, t)
     span = path.span
     min_step = t.min_step * max(1.0, abs(span))
-    rho = 1.0 + float(np.max(np.abs(sess.eigs(path.t_start))))
+    rho = 1.0 + float(np.max(np.abs(path.sample(path.t_start)[1])))
 
     ts = [float(x) for x in np.linspace(path.t_start, path.t_end, initial_grid)]
     accepted = [ts[0]]
-    e0 = sess.eigs(ts[0])
+    e0 = path.sample(ts[0])[1]
     idx = np.lexsort((e0.imag, e0.real))
     tracked = [e0[idx]]
     pending = ts[1:]
@@ -231,17 +242,14 @@ def track(path: OperatorPath, initial_grid: int = 9,
         t1 = pending[0]
         t0v = accepted[-1]
         prev = tracked[-1]
-        cur = sess.eigs(t1)
+        cur = path.sample(t1)[1]
         cost = np.abs(prev[:, None] - cur[None, :])
         rows, cols = numerics.optimal_assignment(cost)
         new = cur[cols[np.argsort(rows)]]
         moves = np.abs(new - prev)
-        n = len(prev)
-        if n > 1:
-            gaps = np.array([min(abs(prev[i] - prev[j])
-                                 for j in range(n) if j != i) for i in range(n)])
-        else:
-            gaps = np.full(1, np.inf)
+        pair = np.abs(prev[:, None] - prev[None, :])
+        np.fill_diagonal(pair, np.inf)
+        gaps = pair.min(axis=1)
         allowed = np.maximum(t.match_fraction * gaps, 1e-9 * rho)
         if np.any(moves > allowed) and (t1 - t0v) > min_step:
             pending.insert(0, (t0v + t1) / 2.0)
@@ -250,7 +258,7 @@ def track(path: OperatorPath, initial_grid: int = 9,
             raise StepUnderflow(
                 f"eigenvalue moved {moves.max():.3e} over a minimal step",
                 bracket=(t0v, t1))
-        worst_move = max(worst_move, float(moves.max()) if n else 0.0)
+        worst_move = max(worst_move, float(moves.max()))
         accepted.append(t1)
         tracked.append(new)
         pending.pop(0)
@@ -259,19 +267,15 @@ def track(path: OperatorPath, initial_grid: int = 9,
     trajs = [Trajectory(track_id=i, samples=[], continuity_bound=worst_move)
              for i in range(len(tracked[0]))]
     for t_k, vals in zip(accepted, tracked):
-        tags = [sess.region_of(l) for l in vals]
+        tags = [_region_tag(path, l, t) for l in vals]
         nus: list[InertiaPair | None] = [None] * len(vals)
         if record_inertia:
             on_idx = [i for i, g in enumerate(tags) if g in spectral.ON_REGIONS]
             if on_idx:
                 on_vals = np.array([vals[i] for i in on_idx])
-                delta = spectral.default_delta(sess.eigs(t_k), t)
+                delta = spectral.default_delta(path.sample(t_k)[1], t)
                 for group in spectral.cluster_eigenvalues(on_vals, delta):
-                    members = on_vals[group]
-                    try:
-                        nu = sess.cluster_inertia(t_k, members)
-                    except KreinLabError:
-                        nu = None
+                    nu = _cluster_inertia(path, t_k, on_vals[group], t)
                     for gi in group:
                         nus[on_idx[gi]] = nu
         for i, (lam, tag, nu) in enumerate(zip(vals, tags, nus)):
@@ -298,9 +302,10 @@ def _classify_event(path: OperatorPath, lam0: complex, multiplicity: int,
     return "QKC"
 
 
-def _collision_cluster(sess: _PathSession, t: float, around, radius: float):
+def _collision_cluster(path: OperatorPath, t: float, around, radius: float,
+                       tol: config.ToleranceConfig):
     """On-region eigenvalues within radius of the collision site."""
-    tt, eigs, tags = sess.regions(t)
+    tt, eigs, tags = _regions(path, t, tol)
     members = [l for l, g in zip(eigs, tags)
                if g in spectral.ON_REGIONS and abs(l - around) <= radius]
     return tt, members
@@ -317,12 +322,11 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
     hermitians).
     """
     t = config.get(tol)
-    sess = _PathSession(path, t)
     events: list[BifurcationEvent] = []
     if not trajectories or len(trajectories[0].samples) < 2:
         return events
     times = trajectories[0].times()
-    rho = 1.0 + float(np.max(np.abs(sess.eigs(times[0]))))
+    rho = 1.0 + float(np.max(np.abs(path.sample(times[0])[1])))
     width_target = max(1e-8 * max(1.0, abs(path.span)), 1e-12)
     sp_tol = max(t.spectrum_match, 100.0 * width_target)
 
@@ -336,13 +340,13 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
         if on_counts[k] == on_counts[k + 1]:
             continue
         lo, hi = float(times[k]), float(times[k + 1])
-        c_lo = sess.on_count(lo)
-        c_hi = sess.on_count(hi)
+        c_lo = _on_count(path, lo, t)
+        c_hi = _on_count(path, hi, t)
         if c_lo == c_hi:
             continue
         while hi - lo > width_target:
             mid = (lo + hi) / 2.0
-            c_mid = sess.on_count(mid)
+            c_mid = _on_count(path, mid, t)
             if c_mid == c_lo:
                 lo = mid
             else:
@@ -352,8 +356,8 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
         t_off = hi if direction == "departure" else lo
         # moving eigenvalues: matched across the bracket, those whose
         # on-region membership changes
-        tt_on, eigs_on, tags_on = sess.regions(t_on)
-        tt_off, eigs_off, tags_off = sess.regions(t_off)
+        tt_on, eigs_on, tags_on = _regions(path, t_on, t)
+        tt_off, eigs_off, tags_off = _regions(path, t_off, t)
         cost = np.abs(eigs_on[:, None] - eigs_off[None, :])
         rows, cols = numerics.optimal_assignment(cost)
         moving_pos = []
@@ -374,22 +378,14 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
             spread = max((abs(moving_pos[g] - lam0) for g in group), default=0.0)
             radius = max(10.0 * spread, 1e3 * width_target * rho,
                          spectral.default_delta(eigs_on, t) * 10)
-            tt_on2, members = _collision_cluster(sess, t_on, lam0, radius)
+            tt_on2, members = _collision_cluster(path, t_on, lam0, radius, t)
             multiplicity = len(members)
             lam0 = complex(np.mean(members)) if members else lam0
-            nu_on = None
-            if members:
-                try:
-                    nu_on = sess.cluster_inertia(tt_on2, np.array(members))
-                except KreinLabError:
-                    nu_on = None
-            _, members_off = _collision_cluster(sess, t_off, lam0, radius)
-            nu_off = None
-            if members_off:
-                try:
-                    nu_off = sess.cluster_inertia(t_off, np.array(members_off))
-                except KreinLabError:
-                    nu_off = None
+            nu_on = (_cluster_inertia(path, tt_on2, np.array(members), t)
+                     if members else None)
+            _, members_off = _collision_cluster(path, t_off, lam0, radius, t)
+            nu_off = (_cluster_inertia(path, t_off, np.array(members_off), t)
+                      if members_off else None)
             if direction == "departure":
                 nu_before, nu_after = nu_on, nu_off
             else:
@@ -403,7 +399,7 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
 
     # --- on-region collisions without departure (PASS_THROUGH)
     span = max(1.0, abs(path.span))
-    for cand in _detect_pass_through(trajectories, sess, rho, t):
+    for cand in _detect_pass_through(trajectories, path, rho, t):
         near_event = any(
             abs(cand.t0 - e.t0) <= max(10.0 * (e.bracket[1] - e.bracket[0]),
                                        1e-3 * span)
@@ -415,20 +411,21 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
     return events
 
 
-def _detect_pass_through(trajectories, sess: _PathSession, rho,
+def _detect_pass_through(trajectories, path: OperatorPath, rho,
                          t: config.ToleranceConfig) -> list[BifurcationEvent]:
     events = []
     if not trajectories:
         return events
     times = trajectories[0].times()
+    values = [tr.values() for tr in trajectories]
     n = len(trajectories)
     thresh_scan = 0.05 * rho
     thresh_hit = max(100.0 * spectral.default_delta(
-        sess.eigs(times[0]), t), 1e-9 * rho)
+        path.sample(times[0])[1], t), 1e-9 * rho)
     for i in range(n):
         for j in range(i + 1, n):
             si, sj = trajectories[i].samples, trajectories[j].samples
-            d = np.array([abs(a.value - b.value) for a, b in zip(si, sj)])
+            d = np.abs(values[i] - values[j])
             on = np.array([
                 a.region in spectral.ON_REGIONS and b.region in spectral.ON_REGIONS
                 for a, b in zip(si, sj)])
@@ -441,33 +438,25 @@ def _detect_pass_through(trajectories, sess: _PathSession, rho,
                     continue
                 lo = times[max(k - 1, 0)]
                 hi = times[min(k + 1, len(times) - 1)]
-                t_min, d_min = _refine_min_distance(sess, trajectories, i, j, lo, hi)
+                t_min, d_min = _refine_min_distance(path, times, values[i],
+                                                    values[j], lo, hi)
                 if d_min > thresh_hit:
                     continue
-                _, eigs_c, tags_c = sess.regions(t_min)
-                pos = complex(np.interp(t_min, trajectories[i].times(),
-                                        trajectories[i].values().real)
-                              + 1j * np.interp(t_min, trajectories[i].times(),
-                                               trajectories[i].values().imag))
+                _, eigs_c, tags_c = _regions(path, t_min, t)
+                pos = _interp(t_min, times, values[i])
                 close = int(np.argmin(np.abs(eigs_c - pos)))
                 lam0 = complex(eigs_c[close])
                 if tags_c[close] not in spectral.ON_REGIONS:
                     continue
-                if any(abs(e.t0 - t_min) < 1e-6 * max(1.0, abs(sess.path.span))
+                if any(abs(e.t0 - t_min) < 1e-6 * max(1.0, abs(path.span))
                        and abs(e.lambda0 - lam0) < 0.05 * rho
                        and e.event_kind == "PASS_THROUGH" for e in events):
                     continue
-                nu = None
-                try:
-                    radius = max(10 * d_min, 1e-6 * rho)
-                    _, members = _collision_cluster(sess, t_min, lam0, radius)
-                    if members:
-                        nu = sess.cluster_inertia(t_min, np.array(members))
-                        mult = len(members)
-                    else:
-                        mult = 2
-                except KreinLabError:
-                    mult = 2
+                radius = max(10 * d_min, 1e-6 * rho)
+                _, members = _collision_cluster(path, t_min, lam0, radius, t)
+                nu = (_cluster_inertia(path, t_min, np.array(members), t)
+                      if members else None)
+                mult = len(members) if nu is not None else 2
                 events.append(BifurcationEvent(
                     event_kind="PASS_THROUGH", t0=float(t_min),
                     bracket=(float(lo), float(hi)), lambda0=lam0,
@@ -476,37 +465,33 @@ def _detect_pass_through(trajectories, sess: _PathSession, rho,
     return events
 
 
-def _refine_min_distance(sess, trajectories, i, j, lo, hi, iters: int = 40):
+def _interp(tv: float, times: np.ndarray, values: np.ndarray) -> complex:
+    """Piecewise-linear value of a tracked branch at tv."""
+    return complex(np.interp(tv, times, values.real)
+                   + 1j * np.interp(tv, times, values.imag))
+
+
+def _refine_min_distance(path: OperatorPath, times, values_i, values_j,
+                         lo, hi, iters: int = 40):
     """Ternary search for the minimal distance of two matched eigenvalue
     branches over [lo, hi]."""
 
     def dist(tv):
-        eigs = sess.eigs(tv)
-        pi = complex(np.interp(tv, trajectories[i].times(),
-                               trajectories[i].values().real)
-                     + 1j * np.interp(tv, trajectories[i].times(),
-                                      trajectories[i].values().imag))
-        pj = complex(np.interp(tv, trajectories[j].times(),
-                               trajectories[j].values().real)
-                     + 1j * np.interp(tv, trajectories[j].times(),
-                                      trajectories[j].values().imag))
-        li = eigs[int(np.argmin(np.abs(eigs - pi)))]
-        lj_cands = np.abs(eigs - pj)
-        lj = eigs[int(np.argmin(lj_cands))]
-        if abs(li - lj) < 1e-300:
-            return 0.0, li
-        return abs(li - lj), (li + lj) / 2.0
+        eigs = path.sample(tv)[1]
+        li = eigs[int(np.argmin(np.abs(eigs - _interp(tv, times, values_i))))]
+        lj = eigs[int(np.argmin(np.abs(eigs - _interp(tv, times, values_j))))]
+        return abs(li - lj)
 
     a, b = float(lo), float(hi)
     for _ in range(iters):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
-        if dist(m1)[0] <= dist(m2)[0]:
+        if dist(m1) <= dist(m2):
             b = m2
         else:
             a = m1
     tm = (a + b) / 2.0
-    return tm, dist(tm)[0]
+    return tm, dist(tm)
 
 
 def verify_krein_stability(events: list[BifurcationEvent],

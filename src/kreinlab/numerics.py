@@ -162,8 +162,10 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
 
     For the default branch point 1 the eigenvalues of h lie in (0, 2*pi),
     so 1 is never in the spectrum of exp(i t h) interpolations that keep
-    the window.  Raises :class:`NotGapped` if v has spectrum at the branch
-    point (within ``fredholm_cert``).
+    the window.  ``branch_point=None`` places the cut mid-way in the widest
+    gap between the eigenphases of v, which keeps the logarithm well posed.
+    Raises :class:`NotGapped` if v has spectrum at the branch point (within
+    ``fredholm_cert``).
 
     A unitary is normal, so its complex Schur form v = Z T Z* has T diagonal
     up to rounding: h = Z diag(theta) Z* with the eigenphases theta read from
@@ -175,9 +177,13 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
 
     t = config.get(tol)
     v = as_matrix(v, square=True, name="v")
-    alpha = float(np.angle(branch_point))
     tri, z = schur(v, output="complex")
     lam = np.diag(tri)
+    if branch_point is None:
+        angles = np.sort(np.angle(lam))
+        gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
+        branch_point = np.exp(1j * (angles[int(np.argmax(gaps))] + gaps.max() / 2.0))
+    alpha = float(np.angle(branch_point))
     if np.min(np.abs(lam - np.exp(1j * alpha))) < t.fredholm_cert:
         raise NotGapped(
             f"spectrum within {t.fredholm_cert:.1e} of branch point {branch_point}")

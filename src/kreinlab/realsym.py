@@ -331,13 +331,7 @@ def full_invariant_report(a, R: RealStructure | None, kind: str,
 
 def symmetric_unitary_sqrt(u, tol: config.ToleranceConfig) -> np.ndarray:
     """Symmetric b with b @ b = b @ b.T = u, for symmetric unitary u."""
-    lam = numerics.eigvals(u)
-    # branch ray through the largest spectral gap keeps the logarithm
-    # well posed
-    angles = np.sort(np.angle(lam))
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-    alpha = angles[int(np.argmax(gaps))] + gaps.max() / 2.0
-    h = numerics.unitary_log(u, branch_point=np.exp(1j * alpha), tol=tol)
+    h = numerics.unitary_log(u, branch_point=None, tol=tol)
     h = (h + h.T) / 2.0
     return numerics.unitary_exp(0.5 * h, tol)
 
@@ -348,12 +342,7 @@ def antisymmetric_unitary_factor(u, s, tol: config.ToleranceConfig) -> np.ndarra
     s*u is odd symmetric, so s*u = exp(i h) with s* h^T s = h and
     v = s exp(i h / 2) does the job.
     """
-    q = s.T @ u
-    lam = numerics.eigvals(q)
-    angles = np.sort(np.angle(lam))
-    gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-    alpha = angles[int(np.argmax(gaps))] + gaps.max() / 2.0
-    h = numerics.unitary_log(q, branch_point=np.exp(1j * alpha), tol=tol)
+    h = numerics.unitary_log(s.T @ u, branch_point=None, tol=tol)
     h = (h + s.T @ h.T @ s) / 2.0
     return s @ numerics.unitary_exp(0.5 * h, tol)
 

@@ -507,10 +507,6 @@ def factorize_unitary(v, cls: str, s=None, branch_point=None,
     uni = numerics.norm(v.conj().T @ v - np.eye(v.shape[0]))
     if uni > 1e-9:
         raise NotInClass(f"input is not unitary (residual {uni:.3e})")
-    if branch_point is None:
-        angles = np.sort(np.angle(numerics.eigvals(v)))
-        gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
-        branch_point = np.exp(1j * (angles[int(np.argmax(gaps))] + gaps.max() / 2.0))
     if cls == "symmetric":
         dev = numerics.norm(v.T - v)
         if dev > 1e-9:
@@ -677,19 +673,6 @@ _TERMINAL_CLASS = {
 }
 
 
-def terminal_symmetry_residual(a_block, kind, s_plus=None, s_minus=None):
-    """Residual of the symmetry class of the terminal Fredholm block."""
-    if kind is None:
-        return None
-    if kind == (1, 1):
-        return float(numerics.norm(conj(a_block) - a_block))
-    if kind == (1, -1):
-        return float(numerics.norm(a_block.T - a_block))
-    if kind == (-1, -1):
-        return float(numerics.norm(a_block.T + a_block))
-    return float(numerics.norm(s_minus.T @ conj(a_block) @ s_plus - a_block))
-
-
 def _symmetry_option(kind):
     return {None: "none", (1, 1): "real-avoiding-1",
             (-1, 1): "quaternionic-avoiding-1", (1, -1): "symmetric",
@@ -741,11 +724,8 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
             terminal = 1j * (p_p1 - p_m1)
             u_plus = res.u_plus
             a_block = u_plus.conj().T
-            if kind == (-1, 1):
-                s_half = interleaved_skew(K.n_plus)
-                sym_res = terminal_symmetry_residual(a_block, kind, s_half, s_half)
-            else:
-                sym_res = terminal_symmetry_residual(a_block, kind)
+            sym_res = (None if kind is None else
+                       _class_residual(a_block, _symmetry_option(kind), s_arg))
         elif lift.kernel_dim == 2 and kind == (-1, -1):
             (straight_path, terminal, u_plus, a_block, sym_res, p_p1, p_m1) = \
                 _straighten_with_kernel(lift, K, R, t)
@@ -843,6 +823,6 @@ def _straighten_with_kernel(lift: LiftResult, K: KreinStructure,
     terminal = theta @ (1j * (p_p1 - p_m1)) @ theta_pinv
     u_plus = res.u_plus
     a_block = u_plus.conj().T
-    sym_res = terminal_symmetry_residual(a_block, (-1, -1))
+    sym_res = _class_residual(a_block, "odd-symmetric", None)
     return (straight_path, terminal, u_plus, a_block, sym_res,
             theta @ p_p1 @ theta_pinv, theta @ p_m1 @ theta_pinv)

@@ -218,6 +218,31 @@ def test_track_programming_error_in_inertia_propagates(monkeypatch):
         track(rotation_pair_path(), initial_grid=9)
 
 
+@pytest.mark.parametrize("name", ["finex", "kc2x2", "qkc", "tb", "mtb",
+                                  "pd", "mpd"])
+def test_track_and_events_sample_each_t_once(name, monkeypatch):
+    sampled = []
+    raw = OperatorPath.__call__
+
+    def counted(self, t):
+        sampled.append(float(t))
+        return raw(self, t)
+
+    monkeypatch.setattr(OperatorPath, "__call__", counted)
+    path = scenario_library(name)
+    detect_events(track(path, initial_grid=33), path)
+    assert len(sampled) == len(set(sampled))
+
+
+@pytest.mark.parametrize("name", ["mtb", "qkc", "kc2x2"])
+def test_events_on_filled_store_match_fresh_path(name):
+    path = scenario_library(name)
+    trajs = track(path)
+    filled = [e.to_dict() for e in detect_events(trajs, path)]
+    fresh = [e.to_dict() for e in detect_events(trajs, scenario_library(name))]
+    assert filled == fresh and filled
+
+
 def test_unknown_scenario():
     with pytest.raises(UnknownScenario):
         scenario_library("nope")

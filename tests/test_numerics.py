@@ -182,6 +182,22 @@ def test_unitary_exp_matches_expm():
         assert numerics.norm(numerics.unitary_exp(h) - v) <= 1e-12
 
 
+def test_unitary_log_widest_gap_branch_point():
+    rng = np.random.default_rng(11)
+    cases = [np.eye(n, dtype=complex) for n in (1, 2, 7, 16)]
+    for n in (1, 2, 7, 16):
+        q = np.linalg.qr(random_complex(rng, n))[0]
+        cases.append((q * np.exp(1j * rng.uniform(-np.pi, np.pi, n))) @ q.conj().T)
+    for v in cases:
+        # the cut mid-way in the widest gap between eigenphases
+        angles = np.sort(np.angle(np.linalg.eigvals(v)))
+        gaps = np.diff(np.append(angles, angles[0] + 2 * np.pi))
+        widest = np.exp(1j * (angles[np.argmax(gaps)] + gaps.max() / 2.0))
+        h = numerics.unitary_log(v, branch_point=None)
+        want = numerics.unitary_log(v, branch_point=widest)
+        assert numerics.norm(h - want) <= 1e-12
+
+
 def test_multiset_match():
     assert multiset_match([1, 1j], [1j + 1e-9, 1], 1e-6)
     assert not multiset_match([1, 1j], [1, 2], 1e-6)
