@@ -49,7 +49,7 @@ class ToleranceConfig:
     match_fraction: float = 0.2      # allowed move relative to eigenvalue gap
 
     # retraction pipeline
-    isotropy: float = 1e-9
+    isotropy: float = 1e-7           # ||F* J F|| of a Lagrangian frame F
     lagrangian: float = 1e-7         # frame re-embedding residual
     fredholm_cert: float = 1e-8      # smallest singular value of u_-^* u_+ - 1
     factorize: float = 1e-9

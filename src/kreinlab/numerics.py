@@ -4,19 +4,18 @@ Everything downstream depends only on the contracts of this module:
 validated inputs, linear solves with singularity detection, general
 eigenvalues and hermitian eigendecompositions, orthonormal frames, the
 matrix exponential and logarithm, and optimal assignment.  The heavy lifting
-is LAPACK: eigenvalues, eigendecompositions and SVDs go through
-``numpy.linalg``; the four kernels numpy lacks (``expm``, the complex Schur
-form, the LU factorization whose pivots ``solve`` checks, and
-``linear_sum_assignment``)
-come from scipy, which is imported inside those functions only, so a caller
-that never needs them never pays for importing scipy.  This is the only
+is LAPACK through ``numpy.linalg``: eigenvalues, eigendecompositions, QR,
+SVDs and the solves themselves.  Three kernels numpy lacks are written here
+over it: the partial-pivot LU pivots that ``solve`` checks, the unitary
+logarithm (eigenvectors orthonormalized by QR in place of a Schur form), and
+the shortest-augmenting-path assignment.  One kernel is left to scipy:
+``matrix_exp`` (``expm``), which imports scipy inside the function, so a
+caller that never needs it never pays for importing scipy.  This is the only
 module that names scipy.  The contracts and failure modes are owned here:
 a LAPACK convergence failure surfaces as :class:`NoConvergence`.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 
@@ -44,33 +43,57 @@ def norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
+def _smallest_lu_pivot(a) -> float:
+    """Smallest |U_kk| of the partial-pivot LU factorization P A = L U.
+
+    Rows are chosen as LAPACK's ``getrf`` chooses them: the first row whose
+    entry in the pivot column has the largest |Re| + |Im|.  The elimination
+    runs on Python complex scalars, which beats numpy's per-call overhead at
+    the small sizes this package solves.
+    """
+    rows = a.tolist()
+    smallest = float("inf")
+    while rows:
+        p, best = 0, -1.0
+        for i, row in enumerate(rows):
+            z = row[0]
+            size = abs(z.real) + abs(z.imag)
+            if size > best:
+                p, best = i, size
+        pivot = rows[p]
+        rows[p] = rows[0]
+        d = pivot[0]
+        smallest = min(smallest, abs(d))
+        tail = pivot[1:]
+        r = 1.0 / d if d else 0.0
+        rest = []
+        for row in rows[1:]:
+            f = row[0] * r
+            rest.append([x - f * y for x, y in zip(row[1:], tail)] if f else row[1:])
+        rows = rest
+    return smallest
+
+
 def solve(a, b, tol: config.ToleranceConfig | None = None) -> np.ndarray:
     """Solve A X = B by partial-pivot LU.
 
     Raises :class:`SingularMatrix` when a pivot falls below
     ``singular_pivot * ||A||``.
     """
-    import scipy.linalg as sla
-
     t = config.get(tol)
     a = as_matrix(a, square=True, name="A")
     b = np.asarray(b, dtype=complex)
-    vector_input = b.ndim == 1
-    if vector_input:
-        b = b[:, None]
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    with warnings.catch_warnings():
-        # exact singularity is detected below through the pivot check
-        warnings.simplefilter("ignore", sla.LinAlgWarning)
-        lu, piv = sla.lu_factor(a, check_finite=False)
-    pivots = np.abs(np.diag(lu))
+    smallest = _smallest_lu_pivot(a)
     scale = max(norm(a), 1e-300)
-    if pivots.min() < t.singular_pivot * scale:
+    if smallest < t.singular_pivot * scale:
         raise SingularMatrix(
-            f"pivot {pivots.min():.3e} below threshold {t.singular_pivot * scale:.3e}")
-    x = sla.lu_solve((lu, piv), b, check_finite=False)
-    return x[:, 0] if vector_input else x
+            f"pivot {smallest:.3e} below threshold {t.singular_pivot * scale:.3e}")
+    try:
+        return np.linalg.solve(a, b)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"LU factorization failed: {exc}") from exc
 
 
 def eigvals(a) -> np.ndarray:
@@ -169,16 +192,20 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
 
     A unitary is normal, so its complex Schur form v = Z T Z* has T diagonal
     up to rounding: h = Z diag(theta) Z* with the eigenphases theta read from
-    diag(T), which also decides the gap.
+    diag(T), which also decides the gap.  Z comes without a Schur routine:
+    LAPACK's ``geev`` returns the eigenvectors as V = Z X with X upper
+    triangular, so the Q factor of V equals Z up to column phases, which
+    cancel in Z diag(theta) Z*.
     """
-    from scipy.linalg import schur
-
     from .errors import NotGapped
 
     t = config.get(tol)
     v = as_matrix(v, square=True, name="v")
-    tri, z = schur(v, output="complex")
-    lam = np.diag(tri)
+    try:
+        lam, vec = np.linalg.eig(v)
+        z = np.linalg.qr(vec)[0]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"eigensolver did not converge: {exc}") from exc
     if branch_point is None:
         angles = np.sort(np.angle(lam))
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
@@ -219,9 +246,87 @@ def block_diag(*blocks) -> np.ndarray:
     return out
 
 
-def optimal_assignment(cost):
-    """Row and column indices of the minimum-cost perfect matching of a
-    cost matrix (scipy ``linear_sum_assignment``)."""
-    from scipy.optimize import linear_sum_assignment
+def _augmenting_paths(rows, nr: int, nc: int) -> list[int]:
+    """Column of each row in the minimum-cost matching of the ``nr x nc``
+    cost lists ``rows`` (nr <= nc), one shortest augmenting path per row."""
+    inf = float("inf")
+    u = [0.0] * nr                  # dual variables of rows and columns
+    v = [0.0] * nc
+    col4row = [-1] * nr
+    row4col = [-1] * nc
+    path = [-1] * nc
+    for cur in range(nr):
+        # Dijkstra from row ``cur`` over reduced costs to a free column
+        spc = [inf] * nc            # shortest path cost to each column
+        seen_rows, seen_cols = [], []
+        remaining = list(range(nc - 1, -1, -1))
+        i, min_val = cur, 0.0
+        while True:
+            seen_rows.append(i)
+            ci, ui = rows[i], u[i]
+            lowest, index = inf, -1
+            for it, j in enumerate(remaining):
+                # scipy's order of operations, so near-ties round alike
+                r = min_val + ci[j] - ui - v[j]
+                s = spc[j]
+                if r < s:
+                    path[j] = i
+                    spc[j] = s = r
+                if s < lowest or (s == lowest and row4col[j] == -1):
+                    lowest, index = s, it
+            if lowest == inf:
+                raise ValueError("cost matrix is infeasible")
+            min_val = lowest
+            j = remaining[index]
+            seen_cols.append(j)
+            remaining[index] = remaining[-1]
+            remaining.pop()
+            i = row4col[j]
+            if i == -1:
+                break
+        u[cur] += min_val
+        for i in seen_rows[1:]:
+            u[i] += min_val - spc[col4row[i]]
+        for j in seen_cols:
+            v[j] -= min_val - spc[j]
+        # augment along the path ending at the free column j
+        while True:
+            i = path[j]
+            row4col[j] = i
+            col4row[i], j = j, col4row[i]
+            if i == cur:
+                break
+    return col4row
 
-    return linear_sum_assignment(cost)
+
+def optimal_assignment(cost):
+    """Row and column indices of the minimum-cost matching of a real cost
+    matrix: every row is matched when it has no more rows than columns,
+    every column otherwise.  Same indices as scipy's
+    ``linear_sum_assignment``.
+
+    Shortest augmenting paths (Crouse, "On implementing 2D rectangular
+    assignment algorithms", IEEE TAES 2016), in scipy's order: one row at a
+    time, columns scanned from the last, and among equal path costs an
+    unassigned column is preferred, so integer costs with ties match too.
+    Raises ``ValueError`` on NaN or -inf entries and when no matching of
+    finite cost exists.
+    """
+    inf = float("inf")
+    c = np.asarray(cost, dtype=float)
+    if c.ndim != 2:
+        raise ValueError(f"expected a 2-D cost matrix, got shape {c.shape}")
+    transpose = c.shape[1] < c.shape[0]
+    if transpose:
+        c = c.T
+    nr, nc = c.shape
+    if nr == 0:
+        return np.zeros(0, dtype=np.intp), np.zeros(0, dtype=np.intp)
+    low = c.min()
+    if low != low or low == -inf:
+        raise ValueError("cost matrix contains NaN or -inf entries")
+    col4row = _augmenting_paths(c.tolist(), nr, nc)
+    if transpose:
+        order = np.argsort(col4row)
+        return np.array(col4row, dtype=np.intp)[order], order
+    return np.arange(nr, dtype=np.intp), np.array(col4row, dtype=np.intp)

@@ -20,7 +20,8 @@ for (-1,-1), quaternionic for (-1,1), symmetric for (1,-1).
 
 Only the input H is partitioned by contour quadrature.  The flattened,
 lifted and terminal operators are flat, so their projections are the
-Lagrange interpolants of :func:`spectral.flat_partition`.  Flatten and lift
+Lagrange interpolants of :func:`spectral.flat_partition`, which reuses the
+eigenvalues that certified each of them flat.  Flatten and lift
 are affine in t, so their membership is certified at the two endpoints; the
 straightening path is sampled.  The straightening reads every u_-(t) from
 one eigendecomposition of its logarithm h and certifies all its samples
@@ -145,11 +146,10 @@ def _halfplane_projections(part):
     return p_up, p_dn, p_re
 
 
-def flat_spectrum_residual(h_mat) -> float:
-    """Max distance of the spectrum to the set {-i, 0, i}."""
-    lam = numerics.eigvals(h_mat)
+def flat_spectrum_residual(eigs) -> float:
+    """Max distance of the eigenvalues ``eigs`` to the set {-i, 0, i}."""
     targets = np.array([-1j, 0.0, 1j])
-    return float(max(np.min(np.abs(targets - l)) for l in lam))
+    return float(max(np.min(np.abs(targets - l)) for l in eigs))
 
 
 def spectral_flatten(h_mat, K: KreinStructure, R: RealStructure | None = None,
@@ -161,11 +161,12 @@ def spectral_flatten(h_mat, K: KreinStructure, R: RealStructure | None = None,
     K.check_dim(h_mat)
     _require_membership(h_mat, K, R, t)
     return _flatten(h_mat, spectral.spectral_partition(h_mat, "hermitian", tol=t),
-                    K, R, t)
+                    K, R, t)[0]
 
 
-def _flatten(h_mat, part, K, R, t) -> PathSegment:
-    """The flatten segment of a member H from its hermitian-tagged partition."""
+def _flatten(h_mat, part, K, R, t) -> tuple[PathSegment, np.ndarray]:
+    """The flatten segment of a member H from its hermitian-tagged partition,
+    and the eigenvalues of its endpoint."""
     p_up, p_dn, _ = _halfplane_projections(part)
     d_op = 1j * (p_up - p_dn)
 
@@ -173,11 +174,12 @@ def _flatten(h_mat, part, K, R, t) -> PathSegment:
         return (1.0 - s) * h_mat + s * d_op
 
     end = sampler(1.0)
-    res = flat_spectrum_residual(end)
+    eigs = numerics.eigvals(end)
+    res = flat_spectrum_residual(eigs)
     if res > t.terminal_spectrum:
         raise FramePreparationFailed(
             f"flatten endpoint spectrum off {{-i,0,i}} by {res:.3e}")
-    return _segment("flatten", sampler, K, R, h_mat.copy(), end, "flatten")
+    return _segment("flatten", sampler, K, R, h_mat.copy(), end, "flatten"), eigs
 
 
 # --------------------------------------------------------------------- lift
@@ -231,9 +233,11 @@ class LiftResult:
 
 
 def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
-                tol: config.ToleranceConfig | None = None) -> LiftResult:
+                tol: config.ToleranceConfig | None = None,
+                eigs=None) -> LiftResult:
     """Lift the kernel degeneracy of a flat operator by a finite-rank,
-    class-compatible perturbation H_t = H + t Psi n V n^{-1} Psi* P_0.
+    class-compatible perturbation H_t = H + t Psi n V n^{-1} Psi* P_0;
+    ``eigs`` are the eigenvalues of ``h_flat`` when the caller has them.
 
     The kernel frame Psi is prepared so that the restricted form Psi* J Psi
     is diagonal and the real symmetry acts in normal form on the frame
@@ -244,12 +248,15 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     h_flat = numerics.as_matrix(h_flat, square=True, name="H")
     K.check_dim(h_flat)
     _require_membership(h_flat, K, R, t)
-    res_flat = flat_spectrum_residual(h_flat)
+    if eigs is None:
+        eigs = numerics.eigvals(h_flat)
+    res_flat = flat_spectrum_residual(eigs)
     if res_flat > t.terminal_spectrum:
         raise FramePreparationFailed(
             f"lift requires spectrum in {{-i,0,i}}, off by {res_flat:.3e}")
     n = K.dim
-    p_up, p_dn, p_re = _halfplane_projections(spectral.flat_partition(h_flat, tol=t))
+    p_up, p_dn, p_re = _halfplane_projections(
+        spectral.flat_partition(h_flat, tol=t, eigs=eigs))
     mult = int(round(np.trace(p_re).real))
     if mult == 0:
         def sampler(s):
@@ -465,7 +472,7 @@ def lagrangian_frames(h_flat, K: KreinStructure,
     for label, proj in (("plus", p_up), ("minus", p_dn)):
         frame = np.linalg.svd(proj)[0][:, :nn]
         iso = numerics.norm(frame.conj().T @ K.apply(frame))
-        if iso > 1e-7:
+        if iso > t.isotropy:
             raise NotLagrangian(f"range of P_{label} not isotropic ({iso:.3e})")
         a, b = frame[:nn, :], frame[nn:, :]
         u = (np.sqrt(2.0) * a) @ numerics.polar_unitary(np.sqrt(2.0) * b).conj().T
@@ -703,11 +710,11 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
             # global_signature checked J-membership; the real structure adds
             # its own residual
             _require_membership(h_mat, K, R, t)
-        seg_flat = _flatten(h_mat, initial.partition, K, R, t)
+        seg_flat, flat_eigs = _flatten(h_mat, initial.partition, K, R, t)
     except KreinLabError as exc:
         raise StageError("flatten", exc) from exc
     try:
-        lift = lift_kernel(seg_flat.end, K, R, tol=t)
+        lift = lift_kernel(seg_flat.end, K, R, tol=t, eigs=flat_eigs)
     except KreinLabError as exc:
         raise StageError("lift", exc) from exc
 
@@ -753,13 +760,15 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
         samples = 2 if seg.stage in AFFINE_STAGES else SEGMENT_SAMPLES
         worst_membership = max(worst_membership, seg.path.verify_membership(
             n_samples=samples, tol_value=t.path_membership, tol=t))
-    spec_res = flat_spectrum_residual(terminal)
+    terminal_eigs = numerics.eigvals(terminal)
+    spec_res = flat_spectrum_residual(terminal_eigs)
     if spec_res > t.terminal_spectrum:
         raise StageError("final", NotInvariant(
             f"terminal spectrum off {{-i,0,i}} by {spec_res:.3e}"))
     member = _require_membership(terminal, K, None, t)
     sig_terminal = signature.invariant_report(
-        spectral.flat_partition(terminal, tol=t), K, member.residual, t).global_sig
+        spectral.flat_partition(terminal, tol=t, eigs=terminal_eigs), K,
+        member.residual, t).global_sig
     if sig_terminal != sig_initial:
         raise StageError("final", NotInvariant(
             f"Sig changed along the retraction: {sig_initial} -> {sig_terminal}"))

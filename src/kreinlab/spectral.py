@@ -228,9 +228,11 @@ def spectral_partition(t_mat, kind: str | None = None,
     return _validated_partition(t_mat, eigs, projected, delta, kind, t)
 
 
-def flat_partition(h_mat, tol: config.ToleranceConfig | None = None) -> ClusterPartition:
+def flat_partition(h_mat, tol: config.ToleranceConfig | None = None,
+                   eigs=None) -> ClusterPartition:
     """Hermitian-tagged partition of a flat operator (spectrum in {i, 0, -i})
-    without quadrature.
+    without quadrature; ``eigs`` are the eigenvalues of ``h_mat`` when the
+    caller has already computed them.
 
     The projections of a flat H (H^3 = -H) are its Lagrange interpolants on
     the nodes i, 0, -i: P_+ = -(H^2 + iH)/2, P_0 = 1 + H^2 and
@@ -241,7 +243,8 @@ def flat_partition(h_mat, tol: config.ToleranceConfig | None = None) -> ClusterP
     """
     t = config.get(tol)
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
-    eigs = numerics.eigvals(h_mat)
+    if eigs is None:
+        eigs = numerics.eigvals(h_mat)
     h2 = h_mat @ h_mat
     interpolants = (-(h2 + 1j * h_mat) / 2.0, np.eye(h_mat.shape[0]) + h2,
                     -(h2 - 1j * h_mat) / 2.0)

@@ -116,13 +116,16 @@ with contextlib.redirect_stdout(io.StringIO()):
 out["invariants"] = (codes, loaded(["scipy"] + %r))
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [cli.main(["retract", "h.json"]), cli.main(["retract", "s.json"])]
-out["retract"] = (codes, loaded(["scipy.optimize", "scipy.sparse",
-                                 "scipy.special"]))
+out["retract"] = (codes, loaded(["scipy"]))
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [cli.main(["track", "mtb"])]
+out["track"] = (codes, loaded(["scipy"]))
 print(json.dumps(out))
 """ % HEAVY
     got = run_fresh(code, tmp_path)
     assert got["invariants"] == [[0, 0], []]
     assert got["retract"] == [[0, 0], []]
+    assert got["track"] == [[0], []]
 
 
 def test_verify_records_typed_errors_and_propagates_others(monkeypatch):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 import scipy.linalg as sla
+from scipy.optimize import linear_sum_assignment
 
-from kreinlab import numerics
+from kreinlab import config, numerics
 from kreinlab.errors import NoConvergence, NotGapped, NotHermitian, SingularMatrix
 from helpers import multiset_match
 
@@ -258,10 +259,137 @@ def test_lapack_failures_are_typed(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
 
-    for name in ("eigvals", "eigh", "svd"):
+    for name in ("eigvals", "eig", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, fail)
     a = np.eye(3)
     for call in (numerics.eigvals, numerics.herm_eig, numerics.orthonormal_frame,
-                 numerics.kernel_frame, numerics.polar_unitary):
+                 numerics.kernel_frame, numerics.polar_unitary,
+                 numerics.unitary_log):
         with pytest.raises(NoConvergence):
             call(a)
+
+
+def assignment_cases(rng):
+    """Cost matrices of every shape up to 9x9: real, integer with ties,
+    distances between two point sets as the path tracker builds them (whose
+    matchings often tie in total cost up to rounding), and real with
+    forbidden (inf) entries, some of which leave no matching."""
+    for k in range(7500):
+        n, m = (int(x) for x in rng.integers(1, 10, 2))
+        if k % 5 == 0:
+            yield rng.standard_normal((n, m))
+        elif k % 5 == 1:
+            yield rng.integers(0, 3, (n, m))
+        elif k % 5 == 2:
+            yield rng.integers(-2, 3, (n, m)).astype(float)
+        elif k % 5 == 3:
+            a, b = random_complex(rng, n, 1), random_complex(rng, 1, m)
+            yield np.abs(a - b) if k % 2 else np.abs(a.real - b.real)
+        else:
+            c = rng.random((n, m))
+            c[rng.random((n, m)) < 0.4] = np.inf
+            yield c
+
+
+def test_optimal_assignment_matches_scipy():
+    rng = np.random.default_rng(12)
+    shapes, matched, infeasible = set(), 0, 0
+    for cost in assignment_cases(rng):
+        n, m = cost.shape
+        shapes.add((n > m) - (n < m))
+        try:
+            want = linear_sum_assignment(cost)
+        except ValueError:
+            infeasible += 1
+            with pytest.raises(ValueError):
+                numerics.optimal_assignment(cost)
+            continue
+        rows, cols = numerics.optimal_assignment(cost)
+        assert np.array_equal(rows, want[0]) and np.array_equal(cols, want[1])
+        assert rows.dtype == want[0].dtype and cols.dtype == want[1].dtype
+        matched += 1
+    assert shapes == {-1, 0, 1} and matched >= 5000 and infeasible > 0
+    rows, cols = numerics.optimal_assignment([[3.0]])
+    assert rows.tolist() == [0] and cols.tolist() == [0]
+    # a constant cost matrix is matched by the identity, as in scipy
+    rows, cols = numerics.optimal_assignment(np.ones((4, 4)))
+    assert cols.tolist() == [0, 1, 2, 3]
+
+
+def test_optimal_assignment_rejects_invalid_costs():
+    for cost in ([[0.0, np.nan], [1.0, 2.0]], [[-np.inf, 1.0], [1.0, 2.0]],
+                 [[np.inf, np.inf], [1.0, 2.0]], [1.0, 2.0]):
+        with pytest.raises(ValueError):
+            linear_sum_assignment(cost)
+        with pytest.raises(ValueError):
+            numerics.optimal_assignment(cost)
+
+
+def schur_log_reference(v, branch_point):
+    """The unitary logarithm from the complex Schur form v = Z T Z*: the
+    eigenphases are read from diag(T), the cut is placed as
+    :func:`numerics.unitary_log` places it, and h = Z diag(theta) Z*."""
+    tri, z = sla.schur(v, output="complex")
+    lam = np.diag(tri)
+    if branch_point is None:
+        angles = np.sort(np.angle(lam))
+        gaps = np.diff(np.append(angles, angles[0] + 2 * np.pi))
+        branch_point = np.exp(1j * (angles[np.argmax(gaps)] + gaps.max() / 2.0))
+    center = float(np.angle(-branch_point))
+    theta = center + np.angle(lam * np.exp(-1j * center))
+    h = (z * theta) @ z.conj().T
+    return (h + h.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("branch_point", (1.0, np.exp(2.0j), None))
+def test_unitary_log_matches_schur_reference(branch_point):
+    rng = np.random.default_rng(13)
+    cases = [] if branch_point == 1.0 else [np.eye(n, dtype=complex)
+                                             for n in (1, 3, 16)]
+    alpha = 0.0 if branch_point is None else float(np.angle(branch_point))
+    for n in range(1, 17):
+        for repeats in (1, 2, n):
+            # eigenphases keep 0.2 from the branch point; with repeats > 1
+            # only n // repeats distinct values, each of them repeated
+            distinct = alpha + rng.uniform(0.2, 2 * np.pi - 0.2, max(n // repeats, 1))
+            phases = rng.permutation(np.resize(distinct, n))
+            q = np.linalg.qr(random_complex(rng, n))[0]
+            cases.append((q * np.exp(1j * phases)) @ q.conj().T)
+    for v in cases:
+        h = numerics.unitary_log(v, branch_point=branch_point)
+        assert numerics.norm(h - schur_log_reference(v, branch_point)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
+def test_solve_singular_exactly_when_lu_pivot_is_small():
+    rng = np.random.default_rng(14)
+    threshold = config.get(None).singular_pivot
+    raised = solved = 0
+    for k in range(600):
+        n = int(rng.integers(1, 12))
+        if k % 3 == 0:
+            a = random_complex(rng, n)
+        elif k % 3 == 1:
+            r = int(rng.integers(0, n))
+            a = random_complex(rng, n, r) @ random_complex(rng, r, n)
+        else:
+            a = rng.integers(-1, 2, (n, n)).astype(complex)
+        lu, _ = sla.lu_factor(a)
+        smallest = np.abs(np.diag(lu)).min()
+        singular = smallest < threshold * max(numerics.norm(a), 1e-300)
+        if k % 3 == 0:
+            # the same row choices as LAPACK, hence the same pivots
+            assert abs(numerics._smallest_lu_pivot(a) - smallest) \
+                <= 1e-12 * numerics.norm(a)
+        b = random_complex(rng, n, 2)
+        if singular:
+            raised += 1
+            with pytest.raises(SingularMatrix):
+                numerics.solve(a, b)
+        else:
+            solved += 1
+            x = numerics.solve(a, b)
+            np.testing.assert_allclose(x, sla.lu_solve((lu, _), b),
+                                       rtol=1e-8, atol=1e-10)
+            np.testing.assert_allclose(numerics.solve(a, b[:, 0]), x[:, 0])
+    assert raised >= 150 and solved >= 150
