@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, numerics, signature
-from .errors import ClusterMatchFailed, MembershipError, SpectrumTooClose
-from .krein import KreinStructure, is_j_hermitian, is_j_unitary
+from .errors import ClusterMatchFailed, SpectrumTooClose
+from .krein import KreinStructure, require_member
 
 INF = complex(np.inf, 0.0)
 
@@ -60,58 +60,49 @@ def cayley_inv_scalar(p: CayleyParams, lam) -> complex:
     return (p.z * p.zeta - np.conj(p.z) * lam) / den
 
 
-def _check_clearance(point: complex, eigs, what: str,
-                     tol: config.ToleranceConfig):
+def _check_clearance(point: complex, eigs, what: str):
     d = float(np.min(np.abs(np.asarray(eigs) - point)))
-    if d <= tol.spectrum_clearance:
+    if d <= config.DEFAULT.spectrum_clearance:
         raise SpectrumTooClose(
             f"{what} = {point:.6g} is within {d:.3e} of the spectrum")
 
 
-def cayley_op(h_mat, K: KreinStructure, p: CayleyParams | None = None,
-              tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def cayley_op(h_mat, K: KreinStructure, p: CayleyParams | None = None) -> np.ndarray:
     """Operator Cayley transform zeta (H - z)(H - conj(z))^{-1}."""
-    t = config.get(tol)
     if p is None:
         p = CayleyParams()
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
-    member = is_j_hermitian(h_mat, K, tol=t)
-    if not member:
-        raise MembershipError("H is not J-hermitian", residual=member.residual)
+    require_member(h_mat, K, "hermitian")
     eigs = numerics.eigvals(h_mat)
-    _check_clearance(complex(p.z), eigs, "z", t)
-    _check_clearance(complex(np.conj(p.z)), eigs, "conj(z)", t)
+    _check_clearance(complex(p.z), eigs, "z")
+    _check_clearance(complex(np.conj(p.z)), eigs, "conj(z)")
     n = K.dim
     eye = np.eye(n, dtype=complex)
     num = h_mat - p.z * eye
     den = h_mat - np.conj(p.z) * eye
     # num and den^{-1} commute, so A B^{-1} = solve from the right
-    return p.zeta * numerics.solve(den.T, num.T, tol=t).T
+    return p.zeta * numerics.solve(den.T, num.T).T
 
 
-def cayley_inv_op(t_mat, K: KreinStructure, p: CayleyParams | None = None,
-                  tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def cayley_inv_op(t_mat, K: KreinStructure, p: CayleyParams | None = None) -> np.ndarray:
     """Inverse operator Cayley transform (z zeta - conj(z) T)(zeta - T)^{-1}.
 
     Without explicit parameters, zeta is chosen deterministically among the
     16th roots of unity to maximize the distance to the spectrum.
     """
-    t = config.get(tol)
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
     K.check_dim(t_mat)
-    member = is_j_unitary(t_mat, K, tol=t)
-    if not member:
-        raise MembershipError("T is not J-unitary", residual=member.residual)
+    require_member(t_mat, K, "unitary")
     eigs = numerics.eigvals(t_mat)
     if p is None:
         p = CayleyParams(z=1j, zeta=pick_zeta(eigs))
-    _check_clearance(complex(p.zeta), eigs, "zeta", t)
+    _check_clearance(complex(p.zeta), eigs, "zeta")
     n = K.dim
     eye = np.eye(n, dtype=complex)
     num = p.z * p.zeta * eye - np.conj(p.z) * t_mat
     den = p.zeta * eye - t_mat
-    return numerics.solve(den.T, num.T, tol=t).T
+    return numerics.solve(den.T, num.T).T
 
 
 def pick_zeta(eigs, candidates: int = 16, real_symmetric: bool = False) -> complex:
@@ -139,19 +130,19 @@ class TransportReport:
     sig_equal: bool
 
 
-def transport_report(h_mat, K: KreinStructure, p: CayleyParams | None = None,
-                     tol: config.ToleranceConfig | None = None) -> TransportReport:
+def transport_report(h_mat, K: KreinStructure,
+                     p: CayleyParams | None = None) -> TransportReport:
     """Compute invariants of H and of C(H) and match them cluster by cluster.
 
     Every H-cluster center lam must land on a C(H)-cluster within the
     spectrum-matching tolerance, with equal multiplicity and equal inertia.
     """
-    t = config.get(tol)
+    match = config.DEFAULT.spectrum_match
     if p is None:
         p = CayleyParams()
-    t_op = cayley_op(h_mat, K, p, tol=t)
-    rep_h = signature.global_signature(h_mat, K, "hermitian", tol=t)
-    rep_t = signature.global_signature(t_op, K, "unitary", tol=t)
+    t_op = cayley_op(h_mat, K, p)
+    rep_h = signature.global_signature(h_mat, K, "hermitian")
+    rep_t = signature.global_signature(t_op, K, "unitary")
     matches = []
     for i, row in enumerate(rep_h.rows):
         target = cayley_scalar(p, row.center)
@@ -160,10 +151,10 @@ def transport_report(h_mat, K: KreinStructure, p: CayleyParams | None = None,
             d = abs(urow.center - target)
             if d < bestd:
                 best, bestd = j, d
-        if best is None or bestd > t.spectrum_match * (1.0 + abs(target)):
+        if best is None or bestd > match * (1.0 + abs(target)):
             raise ClusterMatchFailed(
                 f"H-cluster at {row.center:.6g} maps to {target:.6g}, no "
-                f"unitary cluster within {t.spectrum_match:.1e} (closest {bestd:.3e})")
+                f"unitary cluster within {match:.1e} (closest {bestd:.3e})")
         if rep_t.rows[best].multiplicity != row.multiplicity:
             raise ClusterMatchFailed(
                 f"multiplicity mismatch at {row.center:.6g}")

@@ -1,10 +1,11 @@
 """Centralized numerical tolerances.
 
-The theory statements are exact; the numerics are not.  Every tolerance used
-anywhere in the package lives in a :class:`ToleranceConfig` so that tests and
-callers can tighten or loosen the whole stack uniformly.  The environment
-variable ``KREINLAB_TOL`` multiplies all float tolerances (except quadrature
-point counts, which are integers).
+The theory statements are exact; the numerics are not.  The tolerances of
+the package live in one :class:`ToleranceConfig`, :data:`DEFAULT`, which
+every check reads when it runs; no function takes a tolerance argument.  The
+environment variable ``KREINLAB_TOL`` multiplies all float tolerances
+(except quadrature point counts, which are integers); a test retunes the
+whole stack by replacing ``DEFAULT``.
 
 All matrix norms throughout the package are Frobenius norms unless noted.
 """
@@ -86,8 +87,3 @@ DEFAULT = ToleranceConfig.from_env()
 # command-line parser can list them without importing the suites.
 SUITES = ("riesz", "signature-law", "cayley", "kramers", "taxonomy",
           "retraction", "factorization")
-
-
-def get(tol: ToleranceConfig | None) -> ToleranceConfig:
-    """Resolve an optional config argument to the module default."""
-    return DEFAULT if tol is None else tol

@@ -57,6 +57,26 @@ def write_matrix_file(path, matrix, K: KreinStructure,
     return mf
 
 
+def _square(entries, dim: int) -> np.ndarray:
+    """The ``dim x dim`` matrix of a row-major list of [re, im] pairs."""
+    try:
+        flat = np.array([complex(re, im) for re, im in entries])
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"entries must be [re, im] pairs: {exc}") from exc
+    if flat.size != dim * dim:
+        raise FileFormatError(f"expected {dim * dim} entries, got {flat.size}")
+    return flat.reshape(dim, dim)
+
+
+def _real_structure(kind, n_plus: int, n_minus: int) -> RealStructure:
+    """Normal-form real structure of a file's ``[eta, tau]`` kind."""
+    try:
+        eta, tau = (int(x) for x in kind)
+    except (TypeError, ValueError) as exc:
+        raise FileFormatError(f"kind must be a pair [eta, tau]: {exc}") from exc
+    return make_real_structure(RealKind(eta, tau), n_plus, n_minus)
+
+
 def parse_matrix_dict(data: dict) -> MatrixFile:
     try:
         dim = int(data["dim"])
@@ -68,21 +88,14 @@ def parse_matrix_dict(data: dict) -> MatrixFile:
     if n_plus + n_minus != dim:
         raise FileFormatError(
             f"inertia ({n_plus},{n_minus}) does not sum to dim {dim}")
-    if len(entries) != dim * dim:
-        raise FileFormatError(
-            f"expected {dim * dim} entries, got {len(entries)}")
-    try:
-        flat = np.array([complex(re, im) for re, im in entries])
-    except (TypeError, ValueError) as exc:
-        raise FileFormatError(f"entries must be [re, im] pairs: {exc}") from exc
-    matrix = flat.reshape(dim, dim)
-    if not np.all(np.isfinite(matrix.real)) or not np.all(np.isfinite(matrix.imag)):
+    matrix = _square(entries, dim)
+    if not np.isfinite(matrix).all():
         raise FileFormatError("matrix entries must be finite")
     kind = data.get("kind")
     if kind is None:
         K = make_standard(n_plus, n_minus)
         return MatrixFile(matrix=matrix, K=K, R=None)
-    R = make_real_structure(RealKind(int(kind[0]), int(kind[1])), n_plus, n_minus)
+    R = _real_structure(kind, n_plus, n_minus)
     return MatrixFile(matrix=matrix, K=R.K, R=R)
 
 
@@ -106,19 +119,16 @@ def parse_path_dict(data: dict):
     if op_kind not in ("unitary", "hermitian"):
         raise FileFormatError("path kind must be 'unitary' or 'hermitian'")
     dim = n_plus + n_minus
-    ts, mats = [], []
-    for entry in samples:
-        ts.append(float(entry["t"]))
-        flat = np.array([complex(re, im) for re, im in entry["entries"]])
-        if flat.size != dim * dim:
-            raise FileFormatError("path sample has wrong entry count")
-        mats.append(flat.reshape(dim, dim))
+    try:
+        ts = [float(entry["t"]) for entry in samples]
+        mats = [_square(entry["entries"], dim) for entry in samples]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FileFormatError(f"malformed path sample: {exc!r}") from exc
     real_kind = data.get("real_kind")
     R = None
     K = make_standard(n_plus, n_minus)
     if real_kind is not None:
-        R = make_real_structure(RealKind(int(real_kind[0]), int(real_kind[1])),
-                                n_plus, n_minus)
+        R = _real_structure(real_kind, n_plus, n_minus)
         K = R.K
     return OperatorPath.from_samples(ts, mats, K, op_kind, real_structure=R,
                                      name=str(data.get("name", "stored-path")))

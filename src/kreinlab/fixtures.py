@@ -62,7 +62,7 @@ def _compute(recipe: dict) -> dict:
     raise UnknownFixture(f"fixture check {check!r} not understood")
 
 
-def _match_clusters(expected, actual, tol):
+def _match_clusters(expected, actual, tolerance):
     diffs = []
     if len(expected) != len(actual):
         return [f"cluster count {len(actual)} != {len(expected)}"]
@@ -76,7 +76,7 @@ def _match_clusters(expected, actual, tol):
             d = abs(complex(*arow["center"]) - ec)
             if d < bestd:
                 best, bestd = j, d
-        if best is None or bestd > tol:
+        if best is None or bestd > tolerance:
             diffs.append(f"no cluster near {ec}")
             continue
         used.add(best)
@@ -87,7 +87,7 @@ def _match_clusters(expected, actual, tol):
     return diffs
 
 
-def _diff(expected: dict, actual: dict, tol: float) -> list[str]:
+def _diff(expected: dict, actual: dict, tolerance: float) -> list[str]:
     diffs = []
     if "report" in expected:
         erep, arep = expected["report"], actual["report"]
@@ -95,7 +95,8 @@ def _diff(expected: dict, actual: dict, tol: float) -> list[str]:
                     "group"):
             if erep.get(key) != arep.get(key):
                 diffs.append(f"report.{key}: {arep.get(key)} != {erep.get(key)}")
-        diffs.extend(_match_clusters(erep["clusters"], arep["clusters"], tol))
+        diffs.extend(_match_clusters(erep["clusters"], arep["clusters"],
+                                     tolerance))
     if "events" in expected:
         eev, aev = expected["events"], actual["events"]
         if len(eev) != len(aev):
@@ -108,11 +109,11 @@ def _diff(expected: dict, actual: dict, tol: float) -> list[str]:
                     if ee[key] != ae[key]:
                         diffs.append(f"event {ee['event_kind']}: {key} "
                                      f"{ae[key]} != {ee[key]}")
-                if abs(ee["t0"] - ae["t0"]) > max(tol, 1e-4):
+                if abs(ee["t0"] - ae["t0"]) > max(tolerance, 1e-4):
                     diffs.append(f"event {ee['event_kind']}: t0 {ae['t0']} "
                                  f"!= {ee['t0']}")
                 if abs(complex(*ee["lambda0"]) - complex(*ae["lambda0"])) > \
-                        max(tol, 1e-4):
+                        max(tolerance, 1e-4):
                     diffs.append(f"event {ee['event_kind']}: lambda0 off")
     return diffs
 
@@ -146,8 +147,7 @@ def run_fixture(name: str, regenerate: bool = False) -> bool:
             f"fixture {name} lacks a valid provenance tag ({prov!r})")
     if prov == "derived" and not (d / "oracle.md").is_file():
         raise FixtureMismatch(f"derived fixture {name} lacks oracle.md")
-    tol = float(expected.get("tolerance", 1e-6))
-    diffs = _diff(expected, actual, tol)
+    diffs = _diff(expected, actual, float(expected.get("tolerance", 1e-6)))
     if diffs:
         raise FixtureMismatch(f"fixture {name} mismatch", diff=diffs)
     return True

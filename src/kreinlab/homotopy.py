@@ -35,6 +35,7 @@ from .realsym import RealStructure, is_member, make_real_structure
 from .signature import InertiaPair, form_inertia
 
 EVENT_KINDS = ("KC", "QKC", "TB", "MTB", "PD", "MPD", "PASS_THROUGH")
+TERNARY_STEPS = 40   # each shrinks the pass-through bracket to 2/3
 
 
 @dataclass
@@ -68,25 +69,21 @@ class OperatorPath:
     def span(self) -> float:
         return self.t_end - self.t_start
 
-    def membership_residual(self, t: float,
-                            tol: config.ToleranceConfig | None = None) -> float:
+    def membership_residual(self, t: float) -> float:
         a = self(t)
         if self.real_structure is not None:
-            return is_member(a, self.real_structure, self.kind, tol=tol).residual
+            return is_member(a, self.real_structure, self.kind).residual
         if self.kind == "unitary":
-            return is_j_unitary(a, self.structure, tol=tol).residual
-        return is_j_hermitian(a, self.structure, tol=tol).residual
+            return is_j_unitary(a, self.structure).residual
+        return is_j_hermitian(a, self.structure).residual
 
-    def verify_membership(self, n_samples: int = 17,
-                          tol_value: float | None = None,
-                          tol: config.ToleranceConfig | None = None) -> float:
+    def verify_membership(self, n_samples: int = 17) -> float:
         """Max membership residual over a uniform sample grid; raises
-        :class:`MembershipError` above ``tol_value`` (default path tol)."""
-        t = config.get(tol)
-        bound = t.path_membership if tol_value is None else tol_value
+        :class:`MembershipError` above ``path_membership``."""
+        bound = config.DEFAULT.path_membership
         worst = 0.0
         for s in np.linspace(self.t_start, self.t_end, n_samples):
-            worst = max(worst, self.membership_residual(s, tol=t))
+            worst = max(worst, self.membership_residual(s))
         if worst > bound:
             raise MembershipError(
                 f"path membership residual {worst:.3e} exceeds {bound:.1e}",
@@ -169,52 +166,49 @@ class BifurcationEvent:
         }
 
 
-def _region_tag(path: OperatorPath, lam: complex,
-                tol: config.ToleranceConfig) -> str | None:
+def _region_tag(path: OperatorPath, lam: complex) -> str | None:
     kind = "hermitian" if path.kind == "hermitian" else "unitary"
     try:
-        return spectral._region_of(lam, kind, tol.eps_region,
-                                   tol.ambiguous_factor)
+        return spectral._region_of(lam, kind, config.DEFAULT.eps_region,
+                                   config.DEFAULT.ambiguous_factor)
     except AmbiguousClassification:
         return None
 
 
-def _regions(path: OperatorPath, t: float, tol: config.ToleranceConfig):
+def _regions(path: OperatorPath, t: float):
     """Region tags for all eigenvalues at t; on ambiguity, retries at up to
     four jittered parameter values."""
     span = max(path.span, 1e-12)
     for k in range(5):
         tt = t if k == 0 else t + k * 1e-9 * span
         eigs = path.sample(tt)[1]
-        tags = [_region_tag(path, l, tol) for l in eigs]
+        tags = [_region_tag(path, l) for l in eigs]
         if None not in tags:
             return tt, eigs, tags
     eigs = path.sample(t)[1]
-    return t, eigs, [_region_tag(path, l, tol) for l in eigs]
+    return t, eigs, [_region_tag(path, l) for l in eigs]
 
 
-def _on_count(path: OperatorPath, t: float, tol: config.ToleranceConfig) -> int:
-    _, _, tags = _regions(path, t, tol)
+def _on_count(path: OperatorPath, t: float) -> int:
+    _, _, tags = _regions(path, t)
     return sum(1 for g in tags if g in spectral.ON_REGIONS)
 
 
-def _cluster_inertia(path: OperatorPath, t: float, members,
-                     tol: config.ToleranceConfig) -> InertiaPair | None:
+def _cluster_inertia(path: OperatorPath, t: float, members) -> InertiaPair | None:
     """Inertia of the cluster containing the given eigenvalues at t, or
     ``None`` when its projection or restricted form cannot be decided."""
     try:
         a, eigs = path.sample(t)
-        p = spectral.riesz_projection(a, members, all_eigs=eigs, tol=tol)
+        p = spectral.riesz_projection(a, members, all_eigs=eigs)
         mult = int(round(np.trace(p).real))
         u = np.linalg.svd(p)[0][:, :mult]
-        return form_inertia(u, path.structure, tol=tol)
+        return form_inertia(u, path.structure)
     except KreinLabError:
         return None
 
 
 def track(path: OperatorPath, initial_grid: int = 9,
-          record_inertia: bool = True,
-          tol: config.ToleranceConfig | None = None) -> list[Trajectory]:
+          record_inertia: bool = True) -> list[Trajectory]:
     """Track eigenvalue trajectories along an operator path.
 
     Eigenvalues are matched between consecutive parameter values by optimal
@@ -224,11 +218,10 @@ def track(path: OperatorPath, initial_grid: int = 9,
     recorded for on-circle/on-axis eigenvalues unless ``record_inertia`` is
     switched off (cheaper, used by large random suites).
     """
-    t = config.get(tol)
     if initial_grid < 2:
         raise ValueError("initial_grid must be at least 2")
     span = path.span
-    min_step = t.min_step * max(1.0, abs(span))
+    min_step = config.DEFAULT.min_step * max(1.0, abs(span))
     rho = 1.0 + float(np.max(np.abs(path.sample(path.t_start)[1])))
 
     ts = [float(x) for x in np.linspace(path.t_start, path.t_end, initial_grid)]
@@ -250,7 +243,7 @@ def track(path: OperatorPath, initial_grid: int = 9,
         pair = np.abs(prev[:, None] - prev[None, :])
         np.fill_diagonal(pair, np.inf)
         gaps = pair.min(axis=1)
-        allowed = np.maximum(t.match_fraction * gaps, 1e-9 * rho)
+        allowed = np.maximum(config.DEFAULT.match_fraction * gaps, 1e-9 * rho)
         if np.any(moves > allowed) and (t1 - t0v) > min_step:
             pending.insert(0, (t0v + t1) / 2.0)
             continue
@@ -267,15 +260,15 @@ def track(path: OperatorPath, initial_grid: int = 9,
     trajs = [Trajectory(track_id=i, samples=[], continuity_bound=worst_move)
              for i in range(len(tracked[0]))]
     for t_k, vals in zip(accepted, tracked):
-        tags = [_region_tag(path, l, t) for l in vals]
+        tags = [_region_tag(path, l) for l in vals]
         nus: list[InertiaPair | None] = [None] * len(vals)
         if record_inertia:
             on_idx = [i for i, g in enumerate(tags) if g in spectral.ON_REGIONS]
             if on_idx:
                 on_vals = np.array([vals[i] for i in on_idx])
-                delta = spectral.default_delta(path.sample(t_k)[1], t)
+                delta = spectral.default_delta(path.sample(t_k)[1])
                 for group in spectral.cluster_eigenvalues(on_vals, delta):
-                    nu = _cluster_inertia(path, t_k, on_vals[group], t)
+                    nu = _cluster_inertia(path, t_k, on_vals[group])
                     for gi in group:
                         nus[on_idx[gi]] = nu
         for i, (lam, tag, nu) in enumerate(zip(vals, tags, nus)):
@@ -302,17 +295,16 @@ def _classify_event(path: OperatorPath, lam0: complex, multiplicity: int,
     return "QKC"
 
 
-def _collision_cluster(path: OperatorPath, t: float, around, radius: float,
-                       tol: config.ToleranceConfig):
+def _collision_cluster(path: OperatorPath, t: float, around, radius: float):
     """On-region eigenvalues within radius of the collision site."""
-    tt, eigs, tags = _regions(path, t, tol)
+    tt, eigs, tags = _regions(path, t)
     members = [l for l, g in zip(eigs, tags)
                if g in spectral.ON_REGIONS and abs(l - around) <= radius]
     return tt, members
 
 
-def detect_events(trajectories: list[Trajectory], path: OperatorPath,
-                  tol: config.ToleranceConfig | None = None) -> list[BifurcationEvent]:
+def detect_events(trajectories: list[Trajectory],
+                  path: OperatorPath) -> list[BifurcationEvent]:
     """Detect and classify collision events along tracked trajectories.
 
     Membership changes of the on-circle/on-axis partition are bisected to a
@@ -321,14 +313,13 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
     (generic points vs the symmetric points 1, -1 for unitaries and 0 for
     hermitians).
     """
-    t = config.get(tol)
     events: list[BifurcationEvent] = []
     if not trajectories or len(trajectories[0].samples) < 2:
         return events
     times = trajectories[0].times()
     rho = 1.0 + float(np.max(np.abs(path.sample(times[0])[1])))
     width_target = max(1e-8 * max(1.0, abs(path.span)), 1e-12)
-    sp_tol = max(t.spectrum_match, 100.0 * width_target)
+    sp_tol = max(config.DEFAULT.spectrum_match, 100.0 * width_target)
 
     on_counts = []
     for k in range(len(times)):
@@ -340,13 +331,13 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
         if on_counts[k] == on_counts[k + 1]:
             continue
         lo, hi = float(times[k]), float(times[k + 1])
-        c_lo = _on_count(path, lo, t)
-        c_hi = _on_count(path, hi, t)
+        c_lo = _on_count(path, lo)
+        c_hi = _on_count(path, hi)
         if c_lo == c_hi:
             continue
         while hi - lo > width_target:
             mid = (lo + hi) / 2.0
-            c_mid = _on_count(path, mid, t)
+            c_mid = _on_count(path, mid)
             if c_mid == c_lo:
                 lo = mid
             else:
@@ -356,8 +347,8 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
         t_off = hi if direction == "departure" else lo
         # moving eigenvalues: matched across the bracket, those whose
         # on-region membership changes
-        tt_on, eigs_on, tags_on = _regions(path, t_on, t)
-        tt_off, eigs_off, tags_off = _regions(path, t_off, t)
+        tt_on, eigs_on, tags_on = _regions(path, t_on)
+        tt_off, eigs_off, tags_off = _regions(path, t_off)
         cost = np.abs(eigs_on[:, None] - eigs_off[None, :])
         rows, cols = numerics.optimal_assignment(cost)
         moving_pos = []
@@ -377,14 +368,14 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
             lam0 = complex(np.mean(moving_pos[group]))
             spread = max((abs(moving_pos[g] - lam0) for g in group), default=0.0)
             radius = max(10.0 * spread, 1e3 * width_target * rho,
-                         spectral.default_delta(eigs_on, t) * 10)
-            tt_on2, members = _collision_cluster(path, t_on, lam0, radius, t)
+                         spectral.default_delta(eigs_on) * 10)
+            tt_on2, members = _collision_cluster(path, t_on, lam0, radius)
             multiplicity = len(members)
             lam0 = complex(np.mean(members)) if members else lam0
-            nu_on = (_cluster_inertia(path, tt_on2, np.array(members), t)
+            nu_on = (_cluster_inertia(path, tt_on2, np.array(members))
                      if members else None)
-            _, members_off = _collision_cluster(path, t_off, lam0, radius, t)
-            nu_off = (_cluster_inertia(path, t_off, np.array(members_off), t)
+            _, members_off = _collision_cluster(path, t_off, lam0, radius)
+            nu_off = (_cluster_inertia(path, t_off, np.array(members_off))
                       if members_off else None)
             if direction == "departure":
                 nu_before, nu_after = nu_on, nu_off
@@ -399,7 +390,7 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
 
     # --- on-region collisions without departure (PASS_THROUGH)
     span = max(1.0, abs(path.span))
-    for cand in _detect_pass_through(trajectories, path, rho, t):
+    for cand in _detect_pass_through(trajectories, path, rho):
         near_event = any(
             abs(cand.t0 - e.t0) <= max(10.0 * (e.bracket[1] - e.bracket[0]),
                                        1e-3 * span)
@@ -411,8 +402,8 @@ def detect_events(trajectories: list[Trajectory], path: OperatorPath,
     return events
 
 
-def _detect_pass_through(trajectories, path: OperatorPath, rho,
-                         t: config.ToleranceConfig) -> list[BifurcationEvent]:
+def _detect_pass_through(trajectories, path: OperatorPath,
+                         rho) -> list[BifurcationEvent]:
     events = []
     if not trajectories:
         return events
@@ -420,8 +411,8 @@ def _detect_pass_through(trajectories, path: OperatorPath, rho,
     values = [tr.values() for tr in trajectories]
     n = len(trajectories)
     thresh_scan = 0.05 * rho
-    thresh_hit = max(100.0 * spectral.default_delta(
-        path.sample(times[0])[1], t), 1e-9 * rho)
+    thresh_hit = max(100.0 * spectral.default_delta(path.sample(times[0])[1]),
+                     1e-9 * rho)
     for i in range(n):
         for j in range(i + 1, n):
             si, sj = trajectories[i].samples, trajectories[j].samples
@@ -442,7 +433,7 @@ def _detect_pass_through(trajectories, path: OperatorPath, rho,
                                                     values[j], lo, hi)
                 if d_min > thresh_hit:
                     continue
-                _, eigs_c, tags_c = _regions(path, t_min, t)
+                _, eigs_c, tags_c = _regions(path, t_min)
                 pos = _interp(t_min, times, values[i])
                 close = int(np.argmin(np.abs(eigs_c - pos)))
                 lam0 = complex(eigs_c[close])
@@ -453,8 +444,8 @@ def _detect_pass_through(trajectories, path: OperatorPath, rho,
                        and e.event_kind == "PASS_THROUGH" for e in events):
                     continue
                 radius = max(10 * d_min, 1e-6 * rho)
-                _, members = _collision_cluster(path, t_min, lam0, radius, t)
-                nu = (_cluster_inertia(path, t_min, np.array(members), t)
+                _, members = _collision_cluster(path, t_min, lam0, radius)
+                nu = (_cluster_inertia(path, t_min, np.array(members))
                       if members else None)
                 mult = len(members) if nu is not None else 2
                 events.append(BifurcationEvent(
@@ -471,10 +462,9 @@ def _interp(tv: float, times: np.ndarray, values: np.ndarray) -> complex:
                    + 1j * np.interp(tv, times, values.imag))
 
 
-def _refine_min_distance(path: OperatorPath, times, values_i, values_j,
-                         lo, hi, iters: int = 40):
-    """Ternary search for the minimal distance of two matched eigenvalue
-    branches over [lo, hi]."""
+def _refine_min_distance(path: OperatorPath, times, values_i, values_j, lo, hi):
+    """Ternary search, in ``TERNARY_STEPS`` steps, for the minimal distance
+    of two matched eigenvalue branches over [lo, hi]."""
 
     def dist(tv):
         eigs = path.sample(tv)[1]
@@ -483,7 +473,7 @@ def _refine_min_distance(path: OperatorPath, times, values_i, values_j,
         return abs(li - lj)
 
     a, b = float(lo), float(hi)
-    for _ in range(iters):
+    for _ in range(TERNARY_STEPS):
         m1 = a + (b - a) / 3.0
         m2 = b - (b - a) / 3.0
         if dist(m1) <= dist(m2):

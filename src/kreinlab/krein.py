@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, numerics
-from .errors import DimensionMismatch, NotHermitian, SingularForm
+from .errors import DimensionMismatch, MembershipError, NotHermitian, SingularForm
 
 
 @dataclass(frozen=True)
@@ -70,26 +70,36 @@ class MembershipResult:
         return self.ok
 
 
-def is_j_unitary(t_mat, K: KreinStructure, tol_value: float | None = None,
-                 tol: config.ToleranceConfig | None = None) -> MembershipResult:
+def is_j_unitary(t_mat, K: KreinStructure,
+                 tol_value: float | None = None) -> MembershipResult:
     """T* J T = J within tolerance; the residual is always returned."""
-    cfg = config.get(tol)
-    bound = cfg.membership if tol_value is None else tol_value
+    bound = config.DEFAULT.membership if tol_value is None else tol_value
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
     K.check_dim(t_mat)
     res = numerics.norm(t_mat.conj().T @ K.apply(t_mat) - K.J)
     return MembershipResult(res <= bound, res)
 
 
-def is_j_hermitian(h_mat, K: KreinStructure, tol_value: float | None = None,
-                   tol: config.ToleranceConfig | None = None) -> MembershipResult:
+def is_j_hermitian(h_mat, K: KreinStructure,
+                   tol_value: float | None = None) -> MembershipResult:
     """H* J = J H within tolerance; the residual is always returned."""
-    cfg = config.get(tol)
-    bound = cfg.membership if tol_value is None else tol_value
+    bound = config.DEFAULT.membership if tol_value is None else tol_value
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
     res = numerics.norm(h_mat.conj().T @ K.J - K.apply(h_mat))
     return MembershipResult(res <= bound, res)
+
+
+def require_member(a, K: KreinStructure, kind: str) -> MembershipResult:
+    """J-membership of a J-unitary (``kind='unitary'``) or J-hermitian
+    operator; raises :class:`MembershipError` with the residual when the
+    check fails."""
+    member = is_j_unitary(a, K) if kind == "unitary" else is_j_hermitian(a, K)
+    if not member:
+        raise MembershipError(
+            f"operator is not J-{kind} (residual {member.residual:.3e})",
+            residual=member.residual)
+    return member
 
 
 @dataclass(frozen=True)
@@ -107,18 +117,17 @@ class GeneralFormReduction:
     J_from_j: np.ndarray  # j |j|^{-1} in the original basis
 
 
-def reduce_general_form(j, tol: config.ToleranceConfig | None = None) -> GeneralFormReduction:
+def reduce_general_form(j) -> GeneralFormReduction:
     """Reduce an invertible hermitian form j to the standard structure.
 
     j = V D V* with D sorted descending gives W = |D|^{1/2} V*; then
     W U W^{-1} is J-unitary whenever U is j-unitary.
     """
-    cfg = config.get(tol)
     j = numerics.as_matrix(j, square=True, name="j")
     dev = numerics.norm(j - j.conj().T)
-    if dev > cfg.herm_rtol * max(numerics.norm(j), 1.0):
+    if dev > config.DEFAULT.herm_rtol * max(numerics.norm(j), 1.0):
         raise NotHermitian(f"form is not hermitian, deviation {dev:.3e}")
-    w, v = numerics.herm_eig(j, tol)
+    w, v = numerics.herm_eig(j)
     scale = max(np.abs(w).max(), 1e-300)
     if np.abs(w).min() <= 1e-10 * scale:
         raise SingularForm(

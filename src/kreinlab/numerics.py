@@ -31,7 +31,7 @@ def as_matrix(a, *, square=False, name="matrix") -> np.ndarray:
     m = np.asarray(a, dtype=complex)
     if m.ndim != 2 or m.shape[0] < 1 or m.shape[1] < 1:
         raise ValueError(f"{name} must be a 2-D array with positive shape, got {m.shape}")
-    if not np.all(np.isfinite(m.real)) or not np.all(np.isfinite(m.imag)):
+    if not np.isfinite(m).all():
         raise ValueError(f"{name} has non-finite entries")
     if square and m.shape[0] != m.shape[1]:
         raise ValueError(f"{name} must be square, got {m.shape}")
@@ -74,22 +74,21 @@ def _smallest_lu_pivot(a) -> float:
     return smallest
 
 
-def solve(a, b, tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def solve(a, b) -> np.ndarray:
     """Solve A X = B by partial-pivot LU.
 
     Raises :class:`SingularMatrix` when a pivot falls below
     ``singular_pivot * ||A||``.
     """
-    t = config.get(tol)
     a = as_matrix(a, square=True, name="A")
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
     smallest = _smallest_lu_pivot(a)
-    scale = max(norm(a), 1e-300)
-    if smallest < t.singular_pivot * scale:
+    threshold = config.DEFAULT.singular_pivot * max(norm(a), 1e-300)
+    if smallest < threshold:
         raise SingularMatrix(
-            f"pivot {smallest:.3e} below threshold {t.singular_pivot * scale:.3e}")
+            f"pivot {smallest:.3e} below threshold {threshold:.3e}")
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:
@@ -105,17 +104,16 @@ def eigvals(a) -> np.ndarray:
         raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
 
 
-def herm_eig(a, tol: config.ToleranceConfig | None = None):
+def herm_eig(a):
     """Eigendecomposition of a hermitian matrix.
 
     Returns ``(w, v)`` with real eigenvalues sorted ascending and
     orthonormal eigenvectors.  Raises :class:`NotHermitian` when
     ``||A - A*|| > herm_rtol * ||A||``.
     """
-    t = config.get(tol)
     a = as_matrix(a, square=True, name="A")
     dev = norm(a - a.conj().T)
-    if dev > t.herm_rtol * max(norm(a), 1.0):
+    if dev > config.DEFAULT.herm_rtol * max(norm(a), 1.0):
         raise NotHermitian(f"||A - A*|| = {dev:.3e} exceeds tolerance")
     try:
         return np.linalg.eigh((a + a.conj().T) / 2.0)
@@ -131,34 +129,26 @@ def _svd(a):
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
 
 
-def orthonormal_frame(a, rank_tol: float | None = None,
-                      tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def orthonormal_frame(a) -> np.ndarray:
     """Orthonormal basis of the numerical column space of ``a``.
 
-    Rank is decided by singular values above ``rank_tol * max(s_max, 1)``.
+    Rank is decided by singular values above ``rank * max(s_max, 1)``.
     Rank zero returns an ``(n, 0)`` frame.
     """
-    t = config.get(tol)
-    if rank_tol is None:
-        rank_tol = t.rank
     a = as_matrix(a, name="A")
     u, s, _ = _svd(a)
     if s.size == 0:
         return u[:, :0]
-    cutoff = rank_tol * max(s[0], 1.0)
+    cutoff = config.DEFAULT.rank * max(s[0], 1.0)
     r = int(np.sum(s > cutoff))
     return u[:, :r]
 
 
-def kernel_frame(a, rank_tol: float | None = None,
-                 tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def kernel_frame(a) -> np.ndarray:
     """Orthonormal basis of the numerical null space of ``a``."""
-    t = config.get(tol)
-    if rank_tol is None:
-        rank_tol = t.rank
     a = as_matrix(a, name="A")
     _, s, vh = _svd(a)
-    cutoff = rank_tol * max(s[0] if s.size else 0.0, 1.0)
+    cutoff = config.DEFAULT.rank * max(s[0] if s.size else 0.0, 1.0)
     r = int(np.sum(s > cutoff))
     return vh.conj().T[:, r:]
 
@@ -178,8 +168,7 @@ def polar_unitary(a) -> np.ndarray:
     return u @ vh
 
 
-def unitary_log(v, branch_point=1.0 + 0.0j,
-                tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def unitary_log(v, branch_point=1.0 + 0.0j) -> np.ndarray:
     """Hermitian h with exp(i h) = v and spectrum of h in the 2-pi window
     opening at ``branch_point``.
 
@@ -199,7 +188,6 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
     """
     from .errors import NotGapped
 
-    t = config.get(tol)
     v = as_matrix(v, square=True, name="v")
     try:
         lam, vec = np.linalg.eig(v)
@@ -211,9 +199,10 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
         gaps = np.diff(np.concatenate([angles, [angles[0] + 2 * np.pi]]))
         branch_point = np.exp(1j * (angles[int(np.argmax(gaps))] + gaps.max() / 2.0))
     alpha = float(np.angle(branch_point))
-    if np.min(np.abs(lam - np.exp(1j * alpha))) < t.fredholm_cert:
+    bound = config.DEFAULT.fredholm_cert
+    if np.min(np.abs(lam - np.exp(1j * alpha))) < bound:
         raise NotGapped(
-            f"spectrum within {t.fredholm_cert:.1e} of branch point {branch_point}")
+            f"spectrum within {bound:.1e} of branch point {branch_point}")
     # the principal angle has its cut on the negative real axis; rotate it to
     # sit at angle alpha, i.e. center the eigenphase window opposite it
     center = float(np.angle(np.exp(1j * (alpha + np.pi))))
@@ -222,10 +211,10 @@ def unitary_log(v, branch_point=1.0 + 0.0j,
     return (h + h.conj().T) / 2.0
 
 
-def unitary_exp(h, tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def unitary_exp(h) -> np.ndarray:
     """exp(i h) of a hermitian h, from its eigendecomposition
     h = W diag(w) W*: W diag(exp(i w)) W*."""
-    w, v = herm_eig(h, tol)
+    w, v = herm_eig(h)
     return (v * np.exp(1j * w)) @ v.conj().T
 
 

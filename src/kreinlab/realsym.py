@@ -70,17 +70,17 @@ class RealStructure:
     K: KreinStructure
     S: np.ndarray
 
-    def validate(self, tol: config.ToleranceConfig | None = None):
-        t = config.get(tol)
+    def validate(self):
+        exact = config.DEFAULT.membership_exact
         n = self.K.dim
         if self.S.shape != (n, n):
             raise IncompatibleDimensions("S shape does not match Krein dimension")
-        if numerics.norm(np.imag(self.S)) > t.membership_exact:
+        if numerics.norm(np.imag(self.S)) > exact:
             raise SymmetryViolated("S must be real")
-        if numerics.norm(self.S @ self.S - self.kind.eta * np.eye(n)) > t.membership_exact:
+        if numerics.norm(self.S @ self.S - self.kind.eta * np.eye(n)) > exact:
             raise SymmetryViolated("S^2 != eta 1")
         comm = self.K.J @ self.S - self.kind.tau * self.S @ self.K.J
-        if numerics.norm(comm) > t.membership_exact:
+        if numerics.norm(comm) > exact:
             raise SymmetryViolated("J S != tau S J")
 
 
@@ -112,8 +112,7 @@ def make_real_structure(kind: RealKind | tuple, n_plus: int, n_minus: int) -> Re
     return R
 
 
-def is_member(a, R: RealStructure, kind: str, tol_value: float | None = None,
-              tol: config.ToleranceConfig | None = None):
+def is_member(a, R: RealStructure, kind: str):
     """Membership in U(K,J,S) (kind='unitary') or H(K,J,S) (kind='hermitian').
 
     Base J-membership is checked first; the returned residual is the maximum
@@ -121,20 +120,19 @@ def is_member(a, R: RealStructure, kind: str, tol_value: float | None = None,
     """
     from .krein import MembershipResult
 
-    t = config.get(tol)
-    bound = t.membership if tol_value is None else tol_value
     a = numerics.as_matrix(a, square=True)
     R.K.check_dim(a)
     if kind == "unitary":
-        base = is_j_unitary(a, R.K, bound, tol=t)
+        base = is_j_unitary(a, R.K)
         sym = numerics.norm(R.S.T @ conj(a) @ R.S - a)
     elif kind == "hermitian":
-        base = is_j_hermitian(a, R.K, bound, tol=t)
+        base = is_j_hermitian(a, R.K)
         sym = numerics.norm(R.S.T @ conj(a) @ R.S + a)
     else:
         raise ValueError(f"kind must be 'unitary' or 'hermitian', got {kind!r}")
     res = max(base.residual, float(sym))
-    return MembershipResult(res <= bound, res, j_residual=base.residual)
+    return MembershipResult(res <= config.DEFAULT.membership, res,
+                            j_residual=base.residual)
 
 
 @dataclass(frozen=True)
@@ -184,8 +182,7 @@ def _reflection_orbit(lam: complex, kind: str) -> list[complex]:
     return [lam, np.conj(lam), -lam, -np.conj(lam)]
 
 
-def check_spectral_symmetries(a, R: RealStructure, kind: str,
-                              tol: config.ToleranceConfig | None = None) -> RealSymmetryReport:
+def check_spectral_symmetries(a, R: RealStructure, kind: str) -> RealSymmetryReport:
     """Check the spectral symmetries forced by the real structure.
 
     (a) the eigenvalue multiset is closed under the full reflection group
@@ -194,8 +191,7 @@ def check_spectral_symmetries(a, R: RealStructure, kind: str,
     projections satisfy S* conj(P_D) S = P_{D'} with D' the conjugate
     (unitary) or negated-conjugate (hermitian) cluster.
     """
-    t = config.get(tol)
-    member = is_member(a, R, kind, tol=t)
+    member = is_member(a, R, kind)
     if not member:
         raise MembershipError("operator is not a member of the symmetry class",
                               residual=member.residual)
@@ -205,15 +201,15 @@ def check_spectral_symmetries(a, R: RealStructure, kind: str,
         for target in _reflection_orbit(lam, kind):
             d = float(np.min(np.abs(eigs - target)))
             worst = max(worst, d)
-            if d > t.spectrum_match * (1.0 + abs(target)):
+            if d > config.DEFAULT.spectrum_match * (1.0 + abs(target)):
                 raise SymmetryViolated(
                     f"reflection {target:.6g} of eigenvalue {lam:.6g} missing "
                     f"(closest at distance {d:.3e})", eigenvalue=lam)
-    part = spectral.spectral_partition(a, tol=t)
+    part = spectral.spectral_partition(a)
     pairs, residuals = [], []
     for i, c in enumerate(part.clusters):
         target = np.conj(c.center) if kind == "unitary" else -np.conj(c.center)
-        j = part.cluster_at(target, t)
+        j = part.cluster_at(target)
         if j is None:
             raise SymmetryViolated(
                 f"no cluster at the conjugation image {target:.6g}",
@@ -233,27 +229,26 @@ class KramersReport:
     entries: list[dict]
 
 
-def kramers_check(a, R: RealStructure, kind: str,
-                  tol: config.ToleranceConfig | None = None) -> KramersReport:
+def kramers_check(a, R: RealStructure, kind: str) -> KramersReport:
     """Even algebraic and geometric multiplicity at symmetric-point spectrum.
 
     For eta = -1 only.  Unitary members are checked at real eigenvalues,
     hermitian members at purely imaginary eigenvalues.  Returns diagnostics
     instead of raising.
     """
-    t = config.get(tol)
+    match = config.DEFAULT.spectrum_match
     if R.kind.eta != -1:
         raise ValueError("Kramers degeneracy requires eta = -1")
-    part = spectral.spectral_partition(a, tol=t)
+    part = spectral.spectral_partition(a)
     n = R.K.dim
     entries = []
     ok = True
     for c in part.clusters:
-        on_point = abs(c.center.imag) <= t.spectrum_match if kind == "unitary" \
-            else abs(c.center.real) <= t.spectrum_match
+        on_point = abs(c.center.imag) <= match if kind == "unitary" \
+            else abs(c.center.real) <= match
         if not on_point:
             continue
-        geo = numerics.kernel_frame(a - c.center * np.eye(n), tol=t).shape[1]
+        geo = numerics.kernel_frame(a - c.center * np.eye(n)).shape[1]
         entry = {"eigenvalue": c.center, "algebraic": c.multiplicity,
                  "geometric": geo}
         entries.append(entry)
@@ -284,8 +279,7 @@ def random_member(R: RealStructure, kind: str, seed,
 
 
 def full_invariant_report(a, R: RealStructure | None, kind: str,
-                          K: KreinStructure | None = None,
-                          tol: config.ToleranceConfig | None = None) -> InvariantReport:
+                          K: KreinStructure | None = None) -> InvariantReport:
     """Invariant report dispatched on the symmetry kind.
 
     (1,1): Sig, plus Sec for unitaries.  (-1,-1): Sig2, and Sig must vanish.
@@ -293,24 +287,23 @@ def full_invariant_report(a, R: RealStructure | None, kind: str,
     constraints raise :class:`InvariantConstraintViolated` since they signal
     a membership or numerical breakdown.
     """
-    t = config.get(tol)
     if R is None:
         if K is None:
             raise ValueError("need either a RealStructure or a KreinStructure")
-        rep = signature.global_signature(a, K, kind, tol=t)
+        rep = signature.global_signature(a, K, kind)
         rep.group = classify_group(K).name
         return rep
-    member = is_member(a, R, kind, tol=t)
+    member = is_member(a, R, kind)
     if not member:
         raise MembershipError("operator is not a member of the symmetry class",
                               residual=member.residual)
-    part = spectral.spectral_partition(a, kind, tol=t)
-    rep = signature.invariant_report(part, R.K, member.j_residual, t)
+    part = spectral.spectral_partition(a, kind)
+    rep = signature.invariant_report(part, R.K, member.j_residual)
     rep.group = classify_group(R).name
     eta, tau = R.kind.as_tuple()
     if (eta, tau) == (1, 1):
         if kind == "unitary":
-            rep.sec = signature.sec_of(part, R.K, t)
+            rep.sec = signature.sec_of(part, R.K)
     elif (eta, tau) == (-1, -1):
         if rep.global_sig != 0:
             raise InvariantConstraintViolated(
@@ -329,22 +322,22 @@ def full_invariant_report(a, R: RealStructure | None, kind: str,
 
 # ------------------------------------------------- normal-form basis change
 
-def symmetric_unitary_sqrt(u, tol: config.ToleranceConfig) -> np.ndarray:
+def symmetric_unitary_sqrt(u) -> np.ndarray:
     """Symmetric b with b @ b = b @ b.T = u, for symmetric unitary u."""
-    h = numerics.unitary_log(u, branch_point=None, tol=tol)
+    h = numerics.unitary_log(u, branch_point=None)
     h = (h + h.T) / 2.0
-    return numerics.unitary_exp(0.5 * h, tol)
+    return numerics.unitary_exp(0.5 * h)
 
 
-def antisymmetric_unitary_factor(u, s, tol: config.ToleranceConfig) -> np.ndarray:
+def antisymmetric_unitary_factor(u, s) -> np.ndarray:
     """v with u = v.T @ s @ v for an antisymmetric unitary u.
 
     s*u is odd symmetric, so s*u = exp(i h) with s* h^T s = h and
     v = s exp(i h / 2) does the job.
     """
-    h = numerics.unitary_log(s.T @ u, branch_point=None, tol=tol)
+    h = numerics.unitary_log(s.T @ u, branch_point=None)
     h = (h + s.T @ h.T @ s) / 2.0
-    return s @ numerics.unitary_exp(0.5 * h, tol)
+    return s @ numerics.unitary_exp(0.5 * h)
 
 
 def _antiunitary_block(frame, s_full) -> np.ndarray:
@@ -363,8 +356,7 @@ class NormalizedPair:
     structure: RealStructure
 
 
-def normalize_krein_pair(j_form, s_anti, eta: int, tau: int,
-                         tol: config.ToleranceConfig | None = None) -> NormalizedPair:
+def normalize_krein_pair(j_form, s_anti, eta: int, tau: int) -> NormalizedPair:
     """Bring a hermitian invertible form and a compatible antiunitary to
     normal form.
 
@@ -377,7 +369,6 @@ def normalize_krein_pair(j_form, s_anti, eta: int, tau: int,
     ``R_unitary_part`` omits the |eigenvalue|^{-1/2} column scaling, keeping
     columns orthonormal (used where the form scale must be preserved).
     """
-    t = config.get(tol)
     j_form = numerics.as_matrix(j_form, square=True, name="j")
     s_anti = numerics.as_matrix(s_anti, square=True, name="S")
     n = j_form.shape[0]
@@ -387,7 +378,7 @@ def normalize_krein_pair(j_form, s_anti, eta: int, tau: int,
         raise NormalizationFailed("antiunitary does not square to eta")
     if numerics.norm(s_anti.conj().T @ j_form @ s_anti - tau * conj(j_form)) > 1e-8:
         raise NormalizationFailed("form and antiunitary are not tau-compatible")
-    w, v = numerics.herm_eig(j_form, t)
+    w, v = numerics.herm_eig(j_form)
     scale = max(np.abs(w).max(), 1e-300)
     if np.abs(w).min() <= 1e-10 * scale:
         raise NormalizationFailed("form is numerically singular")
@@ -401,14 +392,14 @@ def normalize_krein_pair(j_form, s_anti, eta: int, tau: int,
             basis = v[:, g]
             a_blk = _antiunitary_block(basis, s_anti)
             if eta == 1:
-                b = symmetric_unitary_sqrt(a_blk, t)
+                b = symmetric_unitary_sqrt(a_blk)
                 s_blocks.append(np.eye(len(g)))
             else:
                 if len(g) % 2:
                     raise NormalizationFailed(
                         f"eta=-1 eigenvalue multiplicity {len(g)} is odd")
                 s_tgt = interleaved_skew(len(g))
-                v_fac = antisymmetric_unitary_factor(a_blk, s_tgt, t)
+                v_fac = antisymmetric_unitary_factor(a_blk, s_tgt)
                 b = v_fac.T
                 s_blocks.append(s_tgt)
             cols.append(basis @ b)

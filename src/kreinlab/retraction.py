@@ -41,7 +41,7 @@ from .errors import (DegenerateSubspace, FramePreparationFailed,
                      NotFredholmPair, NotGapped, NotInClass, NotInvariant,
                      NotLagrangian, PathBlocked, StageError)
 from .homotopy import OperatorPath
-from .krein import KreinStructure, is_j_hermitian
+from .krein import KreinStructure, require_member
 from .realsym import (RealStructure, antisymmetric_unitary_factor, conj,
                       interleaved_skew, is_member, normalize_krein_pair,
                       standard_skew, symmetric_unitary_sqrt)
@@ -110,11 +110,10 @@ class RetractionTrace:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
-def _require_membership(h_mat, K, R, t):
-    if R is not None:
-        member = is_member(h_mat, R, "hermitian", tol=t)
-    else:
-        member = is_j_hermitian(h_mat, K, tol=t)
+def _require_membership(h_mat, K, R):
+    if R is None:
+        return require_member(h_mat, K, "hermitian")
+    member = is_member(h_mat, R, "hermitian")
     if not member:
         raise MembershipError("operator is not in the required class",
                               residual=member.residual)
@@ -152,19 +151,18 @@ def flat_spectrum_residual(eigs) -> float:
     return float(max(np.min(np.abs(targets - l)) for l in eigs))
 
 
-def spectral_flatten(h_mat, K: KreinStructure, R: RealStructure | None = None,
-                     tol: config.ToleranceConfig | None = None) -> PathSegment:
+def spectral_flatten(h_mat, K: KreinStructure,
+                     R: RealStructure | None = None) -> PathSegment:
     """Deform H to spectrum inside {-i, 0, i} along
     H_t = (1-t) H + i t (P_+ - P_-)."""
-    t = config.get(tol)
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
-    _require_membership(h_mat, K, R, t)
-    return _flatten(h_mat, spectral.spectral_partition(h_mat, "hermitian", tol=t),
-                    K, R, t)[0]
+    _require_membership(h_mat, K, R)
+    return _flatten(h_mat, spectral.spectral_partition(h_mat, "hermitian"),
+                    K, R)[0]
 
 
-def _flatten(h_mat, part, K, R, t) -> tuple[PathSegment, np.ndarray]:
+def _flatten(h_mat, part, K, R) -> tuple[PathSegment, np.ndarray]:
     """The flatten segment of a member H from its hermitian-tagged partition,
     and the eigenvalues of its endpoint."""
     p_up, p_dn, _ = _halfplane_projections(part)
@@ -176,7 +174,7 @@ def _flatten(h_mat, part, K, R, t) -> tuple[PathSegment, np.ndarray]:
     end = sampler(1.0)
     eigs = numerics.eigvals(end)
     res = flat_spectrum_residual(eigs)
-    if res > t.terminal_spectrum:
+    if res > config.DEFAULT.terminal_spectrum:
         raise FramePreparationFailed(
             f"flatten endpoint spectrum off {{-i,0,i}} by {res:.3e}")
     return _segment("flatten", sampler, K, R, h_mat.copy(), end, "flatten"), eigs
@@ -233,7 +231,6 @@ class LiftResult:
 
 
 def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
-                tol: config.ToleranceConfig | None = None,
                 eigs=None) -> LiftResult:
     """Lift the kernel degeneracy of a flat operator by a finite-rank,
     class-compatible perturbation H_t = H + t Psi n V n^{-1} Psi* P_0;
@@ -244,10 +241,10 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     coordinates; V then pairs opposite-inertia kernel directions and pushes
     them to +- i t.
     """
-    t = config.get(tol)
+    t = config.DEFAULT
     h_flat = numerics.as_matrix(h_flat, square=True, name="H")
     K.check_dim(h_flat)
-    _require_membership(h_flat, K, R, t)
+    _require_membership(h_flat, K, R)
     if eigs is None:
         eigs = numerics.eigvals(h_flat)
     res_flat = flat_spectrum_residual(eigs)
@@ -256,7 +253,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
             f"lift requires spectrum in {{-i,0,i}}, off by {res_flat:.3e}")
     n = K.dim
     p_up, p_dn, p_re = _halfplane_projections(
-        spectral.flat_partition(h_flat, tol=t, eigs=eigs))
+        spectral.flat_partition(h_flat, eigs=eigs))
     mult = int(round(np.trace(p_re).real))
     if mult == 0:
         def sampler(s):
@@ -273,7 +270,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         raise DegenerateSubspace("kernel form is numerically degenerate")
 
     if R is None:
-        w, v = numerics.herm_eig(j_psi, t)
+        w, v = numerics.herm_eig(j_psi)
         order = np.argsort(-w)
         psi = psi0 @ v[:, order]
         d = w[order]
@@ -286,7 +283,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
                 f"kernel is not conjugation invariant (leak {leak:.3e})")
         kind = R.kind.as_tuple()
         try:
-            norm_pair = normalize_krein_pair(j_psi, s_anti, *kind, tol=t)
+            norm_pair = normalize_krein_pair(j_psi, s_anti, *kind)
         except KreinLabError as exc:
             raise FramePreparationFailed(str(exc)) from exc
         psi = psi0 @ norm_pair.R_unitary_part
@@ -318,10 +315,10 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         return h_flat + s * pert
 
     end = sampler(1.0)
-    kernel = numerics.kernel_frame(end, tol=t)
+    kernel = numerics.kernel_frame(end)
     k_dim = kernel.shape[1]
     if k_dim:
-        nu = signature.form_inertia(kernel, K, tol=t)
+        nu = signature.form_inertia(kernel, K)
         k_inertia = nu.as_tuple()
     else:
         k_inertia = (0, 0)
@@ -364,18 +361,16 @@ class BlockDecomposition:
     phi: np.ndarray
 
 
-def block_decompose(h_mat, K: KreinStructure, e_frame,
-                    tol: config.ToleranceConfig | None = None) -> BlockDecomposition:
+def block_decompose(h_mat, K: KreinStructure, e_frame) -> BlockDecomposition:
     """Split H along an invariant J-non-degenerate subspace E and its
     J-orthogonal complement F = J E^perp.
 
     Returns M = (Psi n_Psi, Phi n_Phi) with M^{-1} H M = diag(H_Psi, H_Phi)
     and M* J M = diag(J_Psi, J_Phi), all verified to tolerance.
     """
-    t = config.get(tol)
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
-    psi = numerics.orthonormal_frame(numerics.as_matrix(e_frame, name="E"), tol=t)
+    psi = numerics.orthonormal_frame(numerics.as_matrix(e_frame, name="E"))
     inv_res = numerics.norm(h_mat @ psi - psi @ (psi.conj().T @ h_mat @ psi))
     if inv_res > 1e-8 * max(1.0, numerics.norm(h_mat)):
         raise NotInvariant(f"E is not H-invariant (residual {inv_res:.3e})")
@@ -383,9 +378,9 @@ def block_decompose(h_mat, K: KreinStructure, e_frame,
     if np.min(np.abs(np.linalg.eigvalsh(j_psi_form))) <= 1e-8:
         raise DegenerateSubspace("E is J-degenerate")
     # F = J E^perp
-    eperp = numerics.kernel_frame(psi.conj().T, tol=t)
+    eperp = numerics.kernel_frame(psi.conj().T)
     if eperp.shape[1]:
-        phi = numerics.orthonormal_frame(K.apply(eperp), tol=t)
+        phi = numerics.orthonormal_frame(K.apply(eperp))
     else:
         phi = np.zeros((K.dim, 0), dtype=complex)
     j_phi_form = phi.conj().T @ K.apply(phi)
@@ -396,7 +391,7 @@ def block_decompose(h_mat, K: KreinStructure, e_frame,
         if j_form.shape[0] == 0:
             z = np.zeros((0, 0), dtype=complex)
             return z, z, z
-        w, v = numerics.herm_eig(j_form, t)
+        w, v = numerics.herm_eig(j_form)
         n_half = (v * np.abs(w) ** -0.5) @ v.conj().T      # |j|^{-1/2}
         n_half_inv = (v * np.abs(w) ** 0.5) @ v.conj().T   # |j|^{1/2}
         j_sign = (v * np.sign(w)) @ v.conj().T
@@ -448,8 +443,7 @@ class LagrangianFrames:
     certificate: float
 
 
-def lagrangian_frames(h_flat, K: KreinStructure,
-                      tol: config.ToleranceConfig | None = None) -> LagrangianFrames:
+def lagrangian_frames(h_flat, K: KreinStructure) -> LagrangianFrames:
     """Extract the unitaries parametrizing the Lagrangian ranges of P_+-.
 
     Requires N+ = N- and a trivial kernel.  A Lagrangian frame can be
@@ -457,14 +451,14 @@ def lagrangian_frames(h_flat, K: KreinStructure,
     orthonormal frame (a; b) as (sqrt2 a) (polar of sqrt2 b)^* and validated
     by re-embedding through the projection representation.
     """
-    t = config.get(tol)
+    t = config.DEFAULT
     if K.n_plus != K.n_minus:
         raise IncompatibleDimensions(
             f"Lagrangian parametrization needs N+ = N-, got "
             f"({K.n_plus},{K.n_minus})")
     h_flat = numerics.as_matrix(h_flat, square=True, name="H")
     K.check_dim(h_flat)
-    p_up, p_dn, p_re = _halfplane_projections(spectral.flat_partition(h_flat, tol=t))
+    p_up, p_dn, p_re = _halfplane_projections(spectral.flat_partition(h_flat))
     if int(round(np.trace(p_re).real)) != 0:
         raise NotLagrangian("operator still has a kernel; lift it first")
     nn = K.n_plus
@@ -498,8 +492,7 @@ def lagrangian_frames(h_flat, K: KreinStructure,
 
 # ------------------------------------------------------------ factorization
 
-def factorize_unitary(v, cls: str, s=None, branch_point=None,
-                      tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def factorize_unitary(v, cls: str, s=None, branch_point=None) -> np.ndarray:
     """Factor a unitary of the declared class.
 
     symmetric:      v = w^t w        with w = exp(i h / 2), h = -i log v
@@ -509,7 +502,6 @@ def factorize_unitary(v, cls: str, s=None, branch_point=None,
     spectral gap; an explicit branch point with spectrum on it raises
     :class:`NotGapped` (continuity of v -> w needs a gapped v).
     """
-    t = config.get(tol)
     v = numerics.as_matrix(v, square=True, name="v")
     uni = numerics.norm(v.conj().T @ v - np.eye(v.shape[0]))
     if uni > 1e-9:
@@ -518,18 +510,18 @@ def factorize_unitary(v, cls: str, s=None, branch_point=None,
         dev = numerics.norm(v.T - v)
         if dev > 1e-9:
             raise NotInClass(f"not symmetric (residual {dev:.3e})")
-        h = numerics.unitary_log(v, branch_point=branch_point, tol=t)
+        h = numerics.unitary_log(v, branch_point=branch_point)
         h = (h + h.T) / 2.0
-        return numerics.unitary_exp(0.5 * h, t)
+        return numerics.unitary_exp(0.5 * h)
     if cls == "odd-symmetric":
         if s is None:
             s = standard_skew(v.shape[0])
         dev = numerics.norm(s.T @ v.T @ s - v)
         if dev > 1e-9:
             raise NotInClass(f"not odd-symmetric (residual {dev:.3e})")
-        h = numerics.unitary_log(v, branch_point=branch_point, tol=t)
+        h = numerics.unitary_log(v, branch_point=branch_point)
         h = (h + s.T @ h.T @ s) / 2.0
-        return s @ numerics.unitary_exp(0.5 * h, t)
+        return s @ numerics.unitary_exp(0.5 * h)
     raise ValueError(f"unknown class {cls!r}")
 
 
@@ -581,8 +573,7 @@ def _class_residual(u, symmetry, s):
     return 0.0
 
 
-def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
-               tol: config.ToleranceConfig | None = None) -> StraightenResult:
+def straighten(u_plus, u_minus, symmetry: str = "none", s=None) -> StraightenResult:
     """Deform the Lagrangian pair (u_+, u_-) to (u_+, -u_+) keeping
     u_-(t)^* u_+(t) - 1 invertible throughout.
 
@@ -597,7 +588,6 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
     * odd-symmetric:
         u_-(t) = v_+^t v_t^* s v_+,      v_0 = s v_+ u_-^* v_+^t, u_+ = v_+^t s v_+
     """
-    t = config.get(tol)
     if symmetry not in SYMMETRY_OPTIONS:
         raise ValueError(f"symmetry must be one of {SYMMETRY_OPTIONS}")
     u_plus = numerics.as_matrix(u_plus, square=True, name="u_plus")
@@ -612,23 +602,23 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
                 f"u does not satisfy the {symmetry} class (residual {res:.3e})")
 
     if symmetry == "symmetric":
-        v_plus = symmetric_unitary_sqrt(u_plus, t)
+        v_plus = symmetric_unitary_sqrt(u_plus)
         v0 = v_plus @ u_minus.conj().T @ v_plus
     elif symmetry == "odd-symmetric":
-        v_plus = antisymmetric_unitary_factor(u_plus, s, t)
+        v_plus = antisymmetric_unitary_factor(u_plus, s)
         v0 = s @ v_plus @ u_minus.conj().T @ v_plus.T
     else:
         v_plus = None
         v0 = u_minus.conj().T @ u_plus
     try:
-        h = numerics.unitary_log(v0, branch_point=1.0 + 0.0j, tol=t)
+        h = numerics.unitary_log(v0, branch_point=1.0 + 0.0j)
     except NotGapped as exc:
         raise NotFredholmPair(f"transition unitary not gapped at 1: {exc}") from exc
 
     # v_t = exp(i((1-t) h + t pi)) = W diag(exp(i((1-t) theta + t pi))) W*
     # from the one eigendecomposition h = W diag(theta) W*; u_-(t) is
     # left @ diag(exp(-i((1-t) theta + t pi))) @ right
-    theta, w = numerics.herm_eig(h, t)
+    theta, w = numerics.herm_eig(h)
     if symmetry == "symmetric":
         left, right = v_plus @ w, w.conj().T @ v_plus
     elif symmetry == "odd-symmetric":
@@ -657,9 +647,9 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None,
         return np.linalg.svd(gaps, compute_uv=False)[:, -1].tolist()
 
     certs = certify(CERT_SAMPLES)
-    if min(certs) <= t.fredholm_cert:
+    if min(certs) <= config.DEFAULT.fredholm_cert:
         certs = certify(2 * CERT_SAMPLES)
-        if min(certs) <= t.fredholm_cert:
+        if min(certs) <= config.DEFAULT.fredholm_cert:
             raise PathBlocked(
                 f"certificate fell to {min(certs):.3e} along the path")
     res_end = numerics.norm(u_minus_of(1.0) + u_plus)
@@ -686,8 +676,8 @@ def _symmetry_option(kind):
             (-1, -1): "odd-symmetric"}[kind]
 
 
-def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
-                     tol: config.ToleranceConfig | None = None) -> RetractionTrace:
+def retract_to_model(h_mat, K: KreinStructure,
+                     R: RealStructure | None = None) -> RetractionTrace:
     """Full retraction pipeline flatten -> lift -> straighten.
 
     Requires N+ = N-.  For kind (-1,-1) with a forced residual kernel the
@@ -695,37 +685,37 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
     that normalizes the block Krein structure; the kernel rides along as an
     exact zero block and witnesses Sig_2 = 1.
     """
-    t = config.get(tol)
+    t = config.DEFAULT
     if K.n_plus != K.n_minus:
         raise IncompatibleDimensions(
             f"retraction hypothesis N+ = N- violated: ({K.n_plus},{K.n_minus})")
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
     kind = R.kind.as_tuple() if R is not None else None
-    initial = signature.global_signature(h_mat, K, "hermitian", tol=t)
+    initial = signature.global_signature(h_mat, K, "hermitian")
     sig_initial = initial.global_sig
 
     try:
         if R is not None:
             # global_signature checked J-membership; the real structure adds
             # its own residual
-            _require_membership(h_mat, K, R, t)
-        seg_flat, flat_eigs = _flatten(h_mat, initial.partition, K, R, t)
+            _require_membership(h_mat, K, R)
+        seg_flat, flat_eigs = _flatten(h_mat, initial.partition, K, R)
     except KreinLabError as exc:
         raise StageError("flatten", exc) from exc
     try:
-        lift = lift_kernel(seg_flat.end, K, R, tol=t, eigs=flat_eigs)
+        lift = lift_kernel(seg_flat.end, K, R, eigs=flat_eigs)
     except KreinLabError as exc:
         raise StageError("lift", exc) from exc
 
     try:
         if lift.kernel_dim == 0:
-            frames = lagrangian_frames(lift.segment.end, K, tol=t)
+            frames = lagrangian_frames(lift.segment.end, K)
             s_arg = None
             if kind == (-1, 1):
                 s_arg = interleaved_skew(K.n_plus)
             res = straighten(frames.u_plus, frames.u_minus,
-                             symmetry=_symmetry_option(kind), s=s_arg, tol=t)
+                             symmetry=_symmetry_option(kind), s=s_arg)
             straight_path = res.hermitian_path(K, R)
             p_p1, p_m1 = res.projections(1.0, K)
             terminal = 1j * (p_p1 - p_m1)
@@ -735,7 +725,7 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
                        _class_residual(a_block, _symmetry_option(kind), s_arg))
         elif lift.kernel_dim == 2 and kind == (-1, -1):
             (straight_path, terminal, u_plus, a_block, sym_res, p_p1, p_m1) = \
-                _straighten_with_kernel(lift, K, R, t)
+                _straighten_with_kernel(lift, K, R)
         else:
             raise NotLagrangian(
                 f"unexpected residual kernel of dimension {lift.kernel_dim}")
@@ -758,17 +748,17 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
     worst_membership = 0.0
     for seg in segments:
         samples = 2 if seg.stage in AFFINE_STAGES else SEGMENT_SAMPLES
-        worst_membership = max(worst_membership, seg.path.verify_membership(
-            n_samples=samples, tol_value=t.path_membership, tol=t))
+        worst_membership = max(worst_membership,
+                               seg.path.verify_membership(n_samples=samples))
     terminal_eigs = numerics.eigvals(terminal)
     spec_res = flat_spectrum_residual(terminal_eigs)
     if spec_res > t.terminal_spectrum:
         raise StageError("final", NotInvariant(
             f"terminal spectrum off {{-i,0,i}} by {spec_res:.3e}"))
-    member = _require_membership(terminal, K, None, t)
+    member = _require_membership(terminal, K, None)
     sig_terminal = signature.invariant_report(
-        spectral.flat_partition(terminal, tol=t, eigs=terminal_eigs), K,
-        member.residual, t).global_sig
+        spectral.flat_partition(terminal, eigs=terminal_eigs), K,
+        member.residual).global_sig
     if sig_terminal != sig_initial:
         raise StageError("final", NotInvariant(
             f"Sig changed along the retraction: {sig_initial} -> {sig_terminal}"))
@@ -788,7 +778,7 @@ def retract_to_model(h_mat, K: KreinStructure, R: RealStructure | None = None,
 
 
 def _straighten_with_kernel(lift: LiftResult, K: KreinStructure,
-                            R: RealStructure, t: config.ToleranceConfig):
+                            R: RealStructure):
     """Kind (-1,-1) with a forced (1,1)-kernel: straighten the block on
     F = J E_0^perp carried by a structure-normalizing basis Theta.
 
@@ -799,28 +789,28 @@ def _straighten_with_kernel(lift: LiftResult, K: KreinStructure,
     """
     h_lifted = lift.segment.end
     n = K.dim
-    psi0 = numerics.kernel_frame(h_lifted, tol=t)
-    eperp = numerics.kernel_frame(psi0.conj().T, tol=t)
-    phi0 = numerics.orthonormal_frame(K.apply(eperp), tol=t)
+    psi0 = numerics.kernel_frame(h_lifted)
+    eperp = numerics.kernel_frame(psi0.conj().T)
+    phi0 = numerics.orthonormal_frame(K.apply(eperp))
     j_f = phi0.conj().T @ K.apply(phi0)
     s_f = phi0.conj().T @ R.S @ conj(phi0)
     leak = numerics.norm(R.S @ conj(phi0) - phi0 @ s_f)
     if leak > 1e-8:
         raise FramePreparationFailed(
             f"complement is not conjugation invariant (leak {leak:.3e})")
-    norm_pair = normalize_krein_pair(j_f, s_f, -1, -1, tol=t)
+    norm_pair = normalize_krein_pair(j_f, s_f, -1, -1)
     theta = phi0 @ norm_pair.R
     K_blk = norm_pair.K
     R_blk = norm_pair.structure
     theta_pinv = K_blk.J @ theta.conj().T @ K.J
     b0 = theta_pinv @ h_lifted @ theta
-    member = is_member(b0, R_blk, "hermitian", tol=t)
+    member = is_member(b0, R_blk, "hermitian")
     if not member:
         raise FramePreparationFailed(
             f"block operator left the class (residual {member.residual:.3e})")
-    frames = lagrangian_frames(b0, K_blk, tol=t)
+    frames = lagrangian_frames(b0, K_blk)
     res = straighten(frames.u_plus, frames.u_minus, symmetry="odd-symmetric",
-                     s=standard_skew(K_blk.n_plus), tol=t)
+                     s=standard_skew(K_blk.n_plus))
 
     def sampler(tv):
         p_p, p_m = res.projections(tv, K_blk)

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, numerics, spectral
-from .errors import DegenerateForm, MembershipError, OddDimension
-from .krein import KreinStructure, is_j_hermitian, is_j_unitary
+from .errors import DegenerateForm, OddDimension
+from .krein import KreinStructure, require_member
 from .spectral import ClusterPartition, SpectralCluster
 
 
@@ -46,14 +46,13 @@ class InertiaPair:
         return (self.nu_plus, self.nu_minus)
 
 
-def form_inertia(frame, K: KreinStructure,
-                 tol: config.ToleranceConfig | None = None) -> InertiaPair:
+def form_inertia(frame, K: KreinStructure) -> InertiaPair:
     """Inertia of the hermitian form Psi* J Psi on a frame."""
-    zero_tol = config.get(tol).zero_form
+    zero_tol = config.DEFAULT.zero_form
     form = frame.conj().T @ K.apply(frame)
     if form.shape[0] == 0:
         return InertiaPair(0, 0)
-    w, _ = numerics.herm_eig(form, tol)
+    w, _ = numerics.herm_eig(form)
     if np.any(np.abs(w) <= zero_tol):
         raise DegenerateForm(
             f"restricted form has eigenvalue {w[np.argmin(np.abs(w))]:.3e} "
@@ -61,8 +60,7 @@ def form_inertia(frame, K: KreinStructure,
     return InertiaPair(int(np.sum(w > zero_tol)), int(np.sum(w < -zero_tol)))
 
 
-def inertia(cluster: SpectralCluster, K: KreinStructure,
-            tol: config.ToleranceConfig | None = None) -> InertiaPair:
+def inertia(cluster: SpectralCluster, K: KreinStructure) -> InertiaPair:
     """Krein inertia of a cluster.
 
     On-circle/on-axis clusters get the inertia of J restricted to their
@@ -71,7 +69,7 @@ def inertia(cluster: SpectralCluster, K: KreinStructure,
     """
     if cluster.region is not None and cluster.region not in spectral.ON_REGIONS:
         return InertiaPair(0, 0)
-    pair = form_inertia(cluster.frame, K, tol=tol)
+    pair = form_inertia(cluster.frame, K)
     if pair.total != cluster.multiplicity:
         raise DegenerateForm(
             f"inertia total {pair.total} != multiplicity {cluster.multiplicity}")
@@ -135,19 +133,8 @@ class InvariantReport:
         }
 
 
-def _require_member(a, K: KreinStructure, kind: str, t: config.ToleranceConfig):
-    member = is_j_unitary(a, K, tol=t) if kind == "unitary" \
-        else is_j_hermitian(a, K, tol=t)
-    if not member:
-        raise MembershipError(
-            f"operator is not J-{kind} (residual {member.residual:.3e})",
-            residual=member.residual)
-    return member
-
-
 def invariant_report(part: ClusterPartition, K: KreinStructure,
-                     membership_residual: float,
-                     tol: config.ToleranceConfig | None = None) -> InvariantReport:
+                     membership_residual: float) -> InvariantReport:
     """Per-cluster inertia and the global signature of a region-tagged
     partition.
 
@@ -155,17 +142,16 @@ def invariant_report(part: ClusterPartition, K: KreinStructure,
     (unitary case) or on-axis clusters (hermitian case).  Off-region
     clusters are annotated with the cluster at their reflection.
     """
-    t = config.get(tol)
     rows = []
     total = 0
     for c in part.clusters:
-        nu = inertia(c, K, tol=t)
+        nu = inertia(c, K)
         partner = None
         if c.region not in spectral.ON_REGIONS:
             if part.kind != "unitary":
-                partner = part.cluster_at(np.conj(c.center), t)
+                partner = part.cluster_at(np.conj(c.center))
             elif abs(c.center) >= 1e-12:
-                partner = part.cluster_at(1.0 / np.conj(c.center), t)
+                partner = part.cluster_at(1.0 / np.conj(c.center))
         rows.append(ClusterRow(center=c.center, multiplicity=c.multiplicity,
                                nu=nu, sig=nu.sig, region=c.region,
                                paired_with=partner))
@@ -176,14 +162,12 @@ def invariant_report(part: ClusterPartition, K: KreinStructure,
                            partition=part)
 
 
-def global_signature(a, K: KreinStructure, kind: str,
-                     tol: config.ToleranceConfig | None = None) -> InvariantReport:
+def global_signature(a, K: KreinStructure, kind: str) -> InvariantReport:
     """Full invariant report: per-cluster inertia and the global signature
     of a J-unitary or J-hermitian operator."""
-    t = config.get(tol)
-    member = _require_member(a, K, kind, t)
-    part = spectral.spectral_partition(a, kind, tol=t)
-    return invariant_report(part, K, member.residual, t)
+    member = require_member(a, K, kind)
+    part = spectral.spectral_partition(a, kind)
+    return invariant_report(part, K, member.residual)
 
 
 def _check_structure_kind(structure, expected: tuple[int, int], what: str):
@@ -204,8 +188,7 @@ def sig2_of(part: ClusterPartition) -> int:
     return (m // 2) % 2
 
 
-def sig2(a, K: KreinStructure, kind: str, structure=None,
-         tol: config.ToleranceConfig | None = None) -> int:
+def sig2(a, K: KreinStructure, kind: str, structure=None) -> int:
     """Z_2 invariant for kind (-1,-1): half the on-circle (on-axis) algebraic
     multiplicity, mod 2.
 
@@ -213,34 +196,29 @@ def sig2(a, K: KreinStructure, kind: str, structure=None,
     Raises :class:`OddDimension` when the multiplicity is odd, which signals
     a symmetry violation upstream (Kramers degeneracy forces evenness).
     """
-    t = config.get(tol)
     _check_structure_kind(structure, (-1, -1), "Sig_2")
-    _require_member(a, K, kind, t)
-    return sig2_of(spectral.spectral_partition(a, kind, tol=t))
+    require_member(a, K, kind)
+    return sig2_of(spectral.spectral_partition(a, kind))
 
 
-def sec_of(part: ClusterPartition, K: KreinStructure,
-           tol: config.ToleranceConfig | None = None) -> int:
+def sec_of(part: ClusterPartition, K: KreinStructure) -> int:
     """Sec of a unit-circle-tagged partition: Sig(1, T) mod 2, with
     Sig(1, T) = 0 when 1 is not in the spectrum."""
-    t = config.get(tol)
     for c in part.clusters:
         if c.region == "unit-circle" and \
-                abs(c.center - 1.0) <= max(part.delta, t.spectrum_match):
-            return inertia(c, K, tol=t).sig % 2
+                abs(c.center - 1.0) <= max(part.delta, config.DEFAULT.spectrum_match):
+            return inertia(c, K).sig % 2
     return 0
 
 
-def sec(a, K: KreinStructure, structure=None,
-        tol: config.ToleranceConfig | None = None) -> int:
+def sec(a, K: KreinStructure, structure=None) -> int:
     """Secondary invariant for kind (1,1) unitaries: Sig(1, T) mod 2.
 
     An optional real ``structure`` is validated to be of kind (1,1).
     """
-    t = config.get(tol)
     _check_structure_kind(structure, (1, 1), "Sec")
-    _require_member(a, K, "unitary", t)
-    return sec_of(spectral.spectral_partition(a, "unitary", tol=t), K, t)
+    require_member(a, K, "unitary")
+    return sec_of(spectral.spectral_partition(a, "unitary"), K)
 
 
 def build_index_example(a_block) -> tuple[np.ndarray, KreinStructure]:

@@ -26,9 +26,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, numerics
-from .errors import (AmbiguousClassification, CorrectionFailed, MembershipError,
+from .errors import (AmbiguousClassification, CorrectionFailed,
                      NoSeparatingContour, QuadratureDivergence, UnmatchedReflection)
-from .krein import KreinStructure, is_j_hermitian
+from .krein import KreinStructure, require_member
 
 REGIONS_HERMITIAN = ("real-axis", "upper-half", "lower-half")
 REGIONS_UNITARY = ("unit-circle", "inside-disc", "outside-disc")
@@ -68,11 +68,10 @@ def cluster_eigenvalues(eigs, delta: float) -> list[list[int]]:
     return clusters
 
 
-def default_delta(eigs, tol: config.ToleranceConfig | None = None) -> float:
+def default_delta(eigs) -> float:
     """Default clustering radius: scale * (1 + spectral radius)."""
-    t = config.get(tol)
     rho = float(np.max(np.abs(eigs))) if len(eigs) else 0.0
-    return t.cluster_delta_scale * (1.0 + rho)
+    return config.DEFAULT.cluster_delta_scale * (1.0 + rho)
 
 
 @dataclass
@@ -87,8 +86,8 @@ class SpectralCluster:
     frame: np.ndarray
     region: str | None = None
 
-    def validate(self, t_mat, tol: config.ToleranceConfig | None = None):
-        t = config.get(tol)
+    def validate(self, t_mat):
+        t = config.DEFAULT
         p = self.projection
         idem = numerics.norm(p @ p - p)
         comm = numerics.norm(p @ t_mat - t_mat @ p)
@@ -115,17 +114,13 @@ class ClusterPartition:
     dim: int
     kind: str | None = None
 
-    def on_region(self) -> list[SpectralCluster]:
-        return [c for c in self.clusters if c.region in ON_REGIONS]
-
-    def cluster_at(self, target: complex,
-                   tol: config.ToleranceConfig | None = None) -> int | None:
+    def cluster_at(self, target: complex) -> int | None:
         """Index of the cluster centered nearest ``target``, or None when it
         lies farther than max(delta, spectrum_match * (1 + |target|))."""
-        t = config.get(tol)
         dists = [abs(c.center - target) for c in self.clusters]
         j = int(np.argmin(dists))
-        if dists[j] > max(self.delta, t.spectrum_match * (1 + abs(target))):
+        if dists[j] > max(self.delta,
+                          config.DEFAULT.spectrum_match * (1 + abs(target))):
             return None
         return j
 
@@ -135,8 +130,7 @@ class ClusterPartition:
         return sum(c.multiplicity for c in cs)
 
 
-def _separating_circle(cluster_eigs, other_eigs, delta,
-                       tol: config.ToleranceConfig):
+def _separating_circle(cluster_eigs, other_eigs, delta):
     """Center and radius of a circle separating the cluster from the rest."""
     center = complex(np.mean(cluster_eigs))
     d_in = max((abs(l - center) for l in cluster_eigs), default=0.0)
@@ -148,7 +142,7 @@ def _separating_circle(cluster_eigs, other_eigs, delta,
         radius = d_in + max(1.0, delta)
     else:
         radius = max((d_in + d_out) / 2.0, delta / 2.0)
-        clearance = tol.contour_clearance * (1.0 + abs(center) + radius)
+        clearance = config.DEFAULT.contour_clearance * (1.0 + abs(center) + radius)
         if radius - d_in < clearance or d_out - radius < clearance:
             raise NoSeparatingContour(
                 f"circle at {center:.6g} radius {radius:.3e} comes within "
@@ -171,8 +165,7 @@ def _quadrature(t_mat, center, radius, points, offset=0.0) -> np.ndarray:
     return np.tensordot(radius * w, resolvents, axes=1) / points
 
 
-def riesz_projection(t_mat, cluster, all_eigs=None,
-                     tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def riesz_projection(t_mat, cluster, all_eigs=None) -> np.ndarray:
     """Riesz spectral projection onto a cluster of eigenvalues.
 
     ``cluster`` is the collection of eigenvalues (with multiplicity) to
@@ -181,12 +174,12 @@ def riesz_projection(t_mat, cluster, all_eigs=None,
     Each doubling averages the rule with its midpoint rule, so a call that
     stops at N points evaluates exactly N resolvents.
     """
-    t = config.get(tol)
+    t = config.DEFAULT
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
     cluster = np.asarray(list(cluster), dtype=complex)
     if all_eigs is None:
         all_eigs = numerics.eigvals(t_mat)
-    delta = default_delta(all_eigs, t)
+    delta = default_delta(all_eigs)
     # remove one spectrum copy of each cluster member to find the exterior
     rest = list(all_eigs)
     for lam in cluster:
@@ -196,7 +189,7 @@ def riesz_projection(t_mat, cluster, all_eigs=None,
             raise NoSeparatingContour(
                 f"requested eigenvalue {lam:.6g} not found in the spectrum")
         rest.pop(j)
-    center, radius = _separating_circle(cluster, rest, delta, t)
+    center, radius = _separating_circle(cluster, rest, delta)
     points = t.quad_start
     p = _quadrature(t_mat, center, radius, points)
     while True:
@@ -209,27 +202,24 @@ def riesz_projection(t_mat, cluster, all_eigs=None,
         points *= 2
 
 
-def spectral_partition(t_mat, kind: str | None = None,
-                       tol: config.ToleranceConfig | None = None) -> ClusterPartition:
+def spectral_partition(t_mat, kind: str | None = None) -> ClusterPartition:
     """Cluster the spectrum and compute all Riesz projections and frames.
 
     With ``kind`` ('unitary' or 'hermitian') every cluster is also tagged
     with its region; clusters may not straddle bands.  This one partition
     is what every invariant of the operator reads.
     """
-    t = config.get(tol)
     if kind not in (None, "unitary", "hermitian"):
         raise ValueError(f"kind must be 'unitary' or 'hermitian', got {kind!r}")
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
     eigs = numerics.eigvals(t_mat)
-    delta = default_delta(eigs, t)
-    projected = ((idx, riesz_projection(t_mat, eigs[idx], all_eigs=eigs, tol=t))
+    delta = default_delta(eigs)
+    projected = ((idx, riesz_projection(t_mat, eigs[idx], all_eigs=eigs))
                  for idx in cluster_eigenvalues(eigs, delta))
-    return _validated_partition(t_mat, eigs, projected, delta, kind, t)
+    return _validated_partition(t_mat, eigs, projected, delta, kind)
 
 
-def flat_partition(h_mat, tol: config.ToleranceConfig | None = None,
-                   eigs=None) -> ClusterPartition:
+def flat_partition(h_mat, eigs=None) -> ClusterPartition:
     """Hermitian-tagged partition of a flat operator (spectrum in {i, 0, -i})
     without quadrature; ``eigs`` are the eigenvalues of ``h_mat`` when the
     caller has already computed them.
@@ -241,7 +231,6 @@ def flat_partition(h_mat, tol: config.ToleranceConfig | None = None,
     :func:`spectral_partition`, so an operator that is not flat raises
     :class:`QuadratureDivergence`.
     """
-    t = config.get(tol)
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     if eigs is None:
         eigs = numerics.eigvals(h_mat)
@@ -251,15 +240,15 @@ def flat_partition(h_mat, tol: config.ToleranceConfig | None = None,
     nearest = np.argmin(np.abs(eigs[:, None] - np.array([1j, 0.0, -1j])), axis=1)
     groups = [np.flatnonzero(nearest == k).tolist() for k in range(3)]
     projected = [(idx, p) for idx, p in zip(groups, interpolants) if idx]
-    return _validated_partition(h_mat, eigs, projected, default_delta(eigs, t),
-                                "hermitian", t)
+    return _validated_partition(h_mat, eigs, projected, default_delta(eigs),
+                                "hermitian")
 
 
-def _validated_partition(t_mat, eigs, projected, delta, kind,
-                         t: config.ToleranceConfig) -> ClusterPartition:
+def _validated_partition(t_mat, eigs, projected, delta, kind) -> ClusterPartition:
     """Partition of ``t_mat`` from ``(indices, projection)`` pairs, one per
     eigenvalue cluster: each cluster is validated as it arrives, then the
     whole partition, and with ``kind`` every cluster is region-tagged."""
+    t = config.DEFAULT
     clusters = []
     for idx, p in projected:
         members = eigs[idx]
@@ -269,7 +258,7 @@ def _validated_partition(t_mat, eigs, projected, delta, kind,
         c = SpectralCluster(center=complex(np.mean(members)),
                             eigenvalues=members, indices=list(idx),
                             multiplicity=mult, projection=p, frame=frame)
-        c.validate(t_mat, t)
+        c.validate(t_mat)
         if mult != len(idx):
             raise QuadratureDivergence(
                 f"projection rank {mult} != cluster size {len(idx)}")
@@ -318,8 +307,7 @@ def _region_of(lam: complex, kind: str, eps: float, factor: float) -> str:
     return "inside-disc" if abs(lam) < 1.0 else "outside-disc"
 
 
-def spectral_subspaces(t_mat, K: KreinStructure, region: str,
-                       tol: config.ToleranceConfig | None = None) -> ClusterPartition:
+def spectral_subspaces(t_mat, K: KreinStructure, region: str) -> ClusterPartition:
     """Partition restricted to the clusters lying in the named region."""
     if region in REGIONS_HERMITIAN:
         kind = "hermitian"
@@ -327,7 +315,7 @@ def spectral_subspaces(t_mat, K: KreinStructure, region: str,
         kind = "unitary"
     else:
         raise ValueError(f"unknown region {region!r}")
-    part = spectral_partition(t_mat, kind, tol=tol)
+    part = spectral_partition(t_mat, kind)
     kept = [c for c in part.clusters if c.region == region]
     return ClusterPartition(clusters=kept, gap=part.gap, delta=part.delta,
                             dim=part.dim, kind=kind)
@@ -346,8 +334,7 @@ class SymmetryReport:
 
 
 def check_projection_symmetry(a, K: KreinStructure, part: ClusterPartition,
-                              kind: str,
-                              tol: config.ToleranceConfig | None = None) -> SymmetryReport:
+                              kind: str) -> SymmetryReport:
     """Check P_cluster^* = J P_reflected J with the kind-appropriate reflection.
 
     For unitaries the reflection is lam -> 1/conj(lam); for hermitians it is
@@ -363,7 +350,7 @@ def check_projection_symmetry(a, K: KreinStructure, part: ClusterPartition,
             target = 1.0 / np.conj(c.center)
         else:
             target = np.conj(c.center)
-        j = part.cluster_at(target, tol)
+        j = part.cluster_at(target)
         if j is None:
             raise UnmatchedReflection(
                 f"no cluster at the reflection {target:.6g} of {c.center:.6g}")
@@ -374,22 +361,18 @@ def check_projection_symmetry(a, K: KreinStructure, part: ClusterPartition,
     return SymmetryReport(pairs=pairs, residuals=residuals)
 
 
-def fredholm_corrector(h_mat, K: KreinStructure, lam: float,
-                       tol: config.ToleranceConfig | None = None) -> np.ndarray:
+def fredholm_corrector(h_mat, K: KreinStructure, lam: float) -> np.ndarray:
     """Finite-rank corrector F = J Psi Psi^* making H - lam + F invertible.
 
     Psi is an orthonormal frame of ker(H - lam); F is J-hermitian and the
     corrected operator is checked to be invertible (smallest singular value
     above 1e-8, scaled).
     """
-    t = config.get(tol)
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
-    member = is_j_hermitian(h_mat, K, tol=t)
-    if not member:
-        raise MembershipError("H is not J-hermitian", residual=member.residual)
+    require_member(h_mat, K, "hermitian")
     n = K.dim
-    psi = numerics.kernel_frame(h_mat - lam * np.eye(n), tol=t)
+    psi = numerics.kernel_frame(h_mat - lam * np.eye(n))
     f_mat = K.apply(psi @ psi.conj().T) if psi.shape[1] else np.zeros((n, n), complex)
     corrected = h_mat - lam * np.eye(n) + f_mat
     smin = np.linalg.svd(corrected, compute_uv=False)[-1]

@@ -61,17 +61,16 @@ def _random_dims(rng, max_total, min_total=2, require=None):
         return n_plus, n_minus
 
 
-def suite_riesz(n: int = 100, seed: int = 0,
-                tol: config.ToleranceConfig | None = None) -> dict:
+def suite_riesz(n: int = 100, seed: int = 0) -> dict:
     """Riesz projection invariants on random non-normal matrices."""
-    t = config.get(tol)
+    t = config.DEFAULT
     rng = np.random.default_rng(seed)
     failures = []
     worst = {"idempotency": 0.0, "commutation": 0.0, "sum": 0.0, "trace": 0.0}
     for k in range(n):
         a = rng.standard_normal((10, 10)) + 1j * rng.standard_normal((10, 10))
         try:
-            part = spectral.spectral_partition(a, tol=t)
+            part = spectral.spectral_partition(a)
         except KreinLabError as exc:
             failures.append(f"instance {k}: {exc}")
             continue
@@ -98,10 +97,8 @@ def suite_riesz(n: int = 100, seed: int = 0,
     return _result("riesz", n, seed, failures, worst)
 
 
-def suite_signature_law(n: int = 200, seed: int = 0, max_dim: int = 16,
-                        tol: config.ToleranceConfig | None = None) -> dict:
+def suite_signature_law(n: int = 200, seed: int = 0, max_dim: int = 16) -> dict:
     """Sig = N+ - N- for random J-hermitians and J-unitaries."""
-    t = config.get(tol)
     rng = np.random.default_rng(seed)
     failures = []
     worst = {"membership": 0.0}
@@ -112,7 +109,7 @@ def suite_signature_law(n: int = 200, seed: int = 0, max_dim: int = 16,
         a = random_j_hermitian(K, rng.integers(2 ** 63)) if kind == "hermitian" \
             else random_j_unitary(K, rng.integers(2 ** 63))
         try:
-            rep = signature.global_signature(a, K, kind, tol=t)
+            rep = signature.global_signature(a, K, kind)
         except KreinLabError as exc:
             failures.append(f"instance {k} ({kind}, {n_plus},{n_minus}): {exc}")
             continue
@@ -124,10 +121,8 @@ def suite_signature_law(n: int = 200, seed: int = 0, max_dim: int = 16,
     return _result("signature-law", n, seed, failures, worst)
 
 
-def suite_cayley(n: int = 50, seed: int = 0, max_dim: int = 10,
-                 tol: config.ToleranceConfig | None = None) -> dict:
+def suite_cayley(n: int = 50, seed: int = 0, max_dim: int = 10) -> dict:
     """Cayley transport of inertia and global signature."""
-    t = config.get(tol)
     rng = np.random.default_rng(seed)
     failures = []
     for k in range(n):
@@ -135,7 +130,7 @@ def suite_cayley(n: int = 50, seed: int = 0, max_dim: int = 10,
         K = make_standard(n_plus, n_minus)
         h = random_j_hermitian(K, rng.integers(2 ** 63))
         try:
-            rep = transport_report(h, K, tol=t)
+            rep = transport_report(h, K)
         except KreinLabError as exc:
             failures.append(f"instance {k}: {exc}")
             continue
@@ -146,12 +141,10 @@ def suite_cayley(n: int = 50, seed: int = 0, max_dim: int = 10,
     return _result("cayley", n, seed, failures, {})
 
 
-def suite_kramers(n: int = 100, seed: int = 0,
-                  tol: config.ToleranceConfig | None = None) -> dict:
+def suite_kramers(n: int = 100, seed: int = 0) -> dict:
     """Even multiplicities at symmetric-point spectrum for eta = -1 kinds."""
     from .realsym import kramers_check
 
-    t = config.get(tol)
     rng = np.random.default_rng(seed)
     failures = []
     for kind in ((-1, -1), (-1, 1)):
@@ -165,7 +158,7 @@ def suite_kramers(n: int = 100, seed: int = 0,
             op_kind = "hermitian" if k % 2 == 0 else "unitary"
             a = random_member(R, op_kind, rng.integers(2 ** 63))
             try:
-                rep = kramers_check(a, R, op_kind, tol=t)
+                rep = kramers_check(a, R, op_kind)
             except KreinLabError as exc:
                 failures.append(f"kind {kind} instance {k}: {exc}")
                 continue
@@ -189,11 +182,9 @@ def _random_member_path(R, rng, scale=1.5) -> OperatorPath:
                         real_structure=R, name="random-member-path")
 
 
-def suite_taxonomy(n: int = 500, seed: int = 0,
-                   tol: config.ToleranceConfig | None = None) -> dict:
+def suite_taxonomy(n: int = 500, seed: int = 0) -> dict:
     """No forbidden event types along random member paths; the curated
     library realizes each scenario; all departures Krein-stable."""
-    t = config.get(tol)
     rng = np.random.default_rng(seed)
     failures = []
     counts: dict[str, int] = {}
@@ -204,8 +195,8 @@ def suite_taxonomy(n: int = 500, seed: int = 0,
         for k in range(n):
             path = _random_member_path(R, rng)
             try:
-                trajs = track(path, initial_grid=7, record_inertia=False, tol=t)
-                events = detect_events(trajs, path, tol=t)
+                trajs = track(path, initial_grid=7, record_inertia=False)
+                events = detect_events(trajs, path)
             except KreinLabError as exc:
                 failures.append(f"kind {kind} path {k}: {exc}")
                 continue
@@ -223,8 +214,8 @@ def suite_taxonomy(n: int = 500, seed: int = 0,
     # curated scenarios must realize exactly their fixture events
     for name in ("finex", "kc2x2", "qkc", "tb", "mtb", "pd", "mpd"):
         path = scenario_library(name)
-        trajs = track(path, initial_grid=9, tol=t)
-        events = detect_events(trajs, path, tol=t)
+        trajs = track(path, initial_grid=9)
+        events = detect_events(trajs, path)
         got = sorted((e.event_kind, round(e.t0, 3)) for e in events
                      if e.event_kind != "PASS_THROUGH")
         want = sorted((d["event_kind"], round(d["t0"], 3))
@@ -245,10 +236,8 @@ def suite_taxonomy(n: int = 500, seed: int = 0,
                           "stability_violations": stability_violations})
 
 
-def suite_retraction(n: int = 100, seed: int = 0,
-                     tol: config.ToleranceConfig | None = None) -> dict:
+def suite_retraction(n: int = 100, seed: int = 0) -> dict:
     """Trace invariants of the retraction pipeline, per kind and plain."""
-    t = config.get(tol)
     rng = np.random.default_rng(seed)
     failures = []
     worst = {"membership": 0.0, "chain": 0.0, "terminal_spectrum": 0.0,
@@ -270,7 +259,7 @@ def suite_retraction(n: int = 100, seed: int = 0,
                 R = make_real_structure(kind, m, m)
                 h = random_member(R, "hermitian", rng.integers(2 ** 63))
             try:
-                trace = retract_to_model(h, K, R, tol=t)
+                trace = retract_to_model(h, K, R)
             except KreinLabError as exc:
                 failures.append(f"kind {kind} instance {k} (m={m}): {exc}")
                 continue
@@ -307,10 +296,9 @@ def random_gapped_odd_symmetric_unitary(rng, dim: int) -> np.ndarray:
     return numerics.matrix_exp(1j * h)
 
 
-def suite_factorization(n: int = 100, seed: int = 0,
-                        tol: config.ToleranceConfig | None = None) -> dict:
+def suite_factorization(n: int = 100, seed: int = 0) -> dict:
     """w^t w (resp. s* w^t s w) factorization residuals of gapped unitaries."""
-    t = config.get(tol)
+    bound = config.DEFAULT.factorize
     rng = np.random.default_rng(seed)
     failures = []
     worst = {"symmetric": 0.0, "odd_symmetric": 0.0}
@@ -318,32 +306,31 @@ def suite_factorization(n: int = 100, seed: int = 0,
         dim = int(rng.integers(2, 9))
         v = random_gapped_symmetric_unitary(rng, dim)
         try:
-            w = factorize_unitary(v, "symmetric", tol=t)
+            w = factorize_unitary(v, "symmetric")
             res = numerics.norm(w.T @ w - v)
         except KreinLabError as exc:
             failures.append(f"symmetric {k}: {exc}")
             continue
         worst["symmetric"] = max(worst["symmetric"], res)
-        if res > t.factorize:
+        if res > bound:
             failures.append(f"symmetric {k}: residual {res:.3e}")
     for k in range(n):
         dim = 2 * int(rng.integers(1, 5))
         s = standard_skew(dim)
         v = random_gapped_odd_symmetric_unitary(rng, dim)
         try:
-            w = factorize_unitary(v, "odd-symmetric", s=s, tol=t)
+            w = factorize_unitary(v, "odd-symmetric", s=s)
             res = numerics.norm(s.T @ w.T @ s @ w - v)
         except KreinLabError as exc:
             failures.append(f"odd-symmetric {k}: {exc}")
             continue
         worst["odd_symmetric"] = max(worst["odd_symmetric"], res)
-        if res > t.factorize:
+        if res > bound:
             failures.append(f"odd-symmetric {k}: residual {res:.3e}")
     return _result("factorization", n, seed, failures, worst)
 
 
-def run_suite(name: str, n: int | None = None, seed: int = 0,
-              tol: config.ToleranceConfig | None = None) -> dict:
+def run_suite(name: str, n: int | None = None, seed: int = 0) -> dict:
     runners = {
         "riesz": (suite_riesz, 100),
         "signature-law": (suite_signature_law, 200),
@@ -357,6 +344,6 @@ def run_suite(name: str, n: int | None = None, seed: int = 0,
         raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     fn, default_n = runners[name]
     start = time.monotonic()
-    out = fn(n=default_n if n is None else n, seed=seed, tol=tol)
+    out = fn(n=default_n if n is None else n, seed=seed)
     out["elapsed_seconds"] = round(time.monotonic() - start, 3)
     return out

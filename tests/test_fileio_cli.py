@@ -1,12 +1,19 @@
 """File formats and the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import kreinlab
 from kreinlab import cli, fileio, krein
 from kreinlab.realsym import make_real_structure, random_member
+
+SRC = Path(kreinlab.__file__).resolve().parent.parent
 
 
 def test_matrix_file_roundtrip_bit_exact(tmp_path):
@@ -41,6 +48,71 @@ def test_matrix_file_validation(tmp_path):
                                 "entries": [[0, 0]] * 3}))
     with pytest.raises(fileio.FileFormatError):
         fileio.read_matrix_file(path)
+    path.write_text(json.dumps({"dim": 2, "n_plus": 1, "n_minus": 1,
+                                "entries": [[0, 0]] * 3 + [[0, float("inf")]]}))
+    assert "Infinity" in path.read_text()
+    with pytest.raises(fileio.FileFormatError):
+        fileio.read_matrix_file(path)
+
+
+KC_SAMPLES = [{"t": 0.0, "entries": [[0, 0], [1, 0], [-1, 0], [0, 0]]},
+              {"t": 2.0, "entries": [[2, 0], [1, 0], [-1, 0], [-2, 0]]}]
+
+
+def path_file(**changes):
+    data = {"kind": "hermitian", "n_plus": 1, "n_minus": 1,
+            "samples": KC_SAMPLES}
+    data.update(changes)
+    return data
+
+
+def matrix_file(**changes):
+    K = krein.make_standard(1, 1)
+    data = fileio.MatrixFile(matrix=np.array([[0, 1], [-1, 0]], dtype=complex),
+                             K=K, R=None).to_dict()
+    data.update(changes)
+    return data
+
+
+@pytest.mark.parametrize("command, data", [
+    (["track"], path_file(samples=[{"entries": KC_SAMPLES[0]["entries"]},
+                                   KC_SAMPLES[1]])),
+    (["track"], path_file(samples=[{"t": 0.0}, KC_SAMPLES[1]])),
+    (["track"], path_file(samples=5)),
+    (["track"], path_file(samples=[{"t": 0.0, "entries": [0, 1, -1, 0]},
+                                   KC_SAMPLES[1]])),
+    (["track"], path_file(real_kind=[1])),
+    (["invariants", "--kind", "hermitian"], matrix_file(kind=[1])),
+    (["invariants", "--kind", "hermitian"], matrix_file(kind=5)),
+    (["retract"], matrix_file(kind=[1])),
+    (["retract"], matrix_file(kind=5)),
+], ids=["sample-without-t", "sample-without-entries", "samples-not-a-list",
+        "entries-not-pairs", "real-kind-short", "invariants-kind-short",
+        "invariants-kind-int", "retract-kind-short", "retract-kind-int"])
+def test_cli_malformed_file_exits_2(tmp_path, capsys, command, data):
+    f = tmp_path / "input.json"
+    f.write_text(json.dumps(data))
+    assert cli.main([command[0], str(f), *command[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_tolerance_env_reaches_the_membership_check(tmp_path):
+    """KREINLAB_TOL scales the bound the ``invariants`` command applies:
+    the generated U(2,2) element's residual (about 1e-15) passes the
+    default 1e-8 and fails 1e-8 * 1e-9."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("KREINLAB_TOL", None)
+
+    def run(*argv, **extra):
+        return subprocess.run([sys.executable, "-m", "kreinlab.cli", *argv],
+                              capture_output=True, text=True, cwd=tmp_path,
+                              env=dict(env, **extra), timeout=300)
+
+    assert run("gen", "U", "2", "2", "--seed", "1", "--out", "u.json").returncode == 0
+    assert run("invariants", "u.json", "--kind", "unitary").returncode == 0
+    scaled = run("invariants", "u.json", "--kind", "unitary", KREINLAB_TOL="1e-9")
+    assert scaled.returncode == 2
+    assert "not J-unitary" in scaled.stderr
 
 
 def test_path_file_roundtrip(tmp_path):

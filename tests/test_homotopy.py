@@ -194,7 +194,7 @@ def test_from_samples_interpolation_and_membership():
         # linear interpolation of unitaries leaves the group at this scale
         bad = OperatorPath.from_samples(
             [0.0, 1.0], [np.eye(2), np.diag([1j, -1j])], K, "unitary")
-        bad.verify_membership(n_samples=5, tol_value=1e-12)
+        bad.verify_membership(n_samples=5)
 
 
 def test_global_signature_constant_along_library_paths():

@@ -160,10 +160,35 @@ def test_suite_names_match_the_suites(monkeypatch):
     assert len(suites) == len(verify.SUITES)
     for name in suites:
         monkeypatch.setattr(verify, name,
-                            lambda n, seed, tol, name=name: {"runner": name})
+                            lambda n, seed, name=name: {"runner": name})
     parser = cli.build_parser()
     ran = set()
     for suite in verify.SUITES:
         assert parser.parse_args(["verify", suite]).suite == suite
         ran.add(verify.run_suite(suite)["runner"])
     assert ran == set(suites)
+
+
+def test_no_function_takes_a_tolerance_config():
+    """Tolerances have one source, ``config.DEFAULT``: no function or method
+    of the package takes a per-call ``tol`` argument."""
+    import importlib
+    import inspect
+    import pkgutil
+
+    from kreinlab import config
+
+    found = []
+    for info in pkgutil.iter_modules(kreinlab.__path__):
+        mod = importlib.import_module(f"kreinlab.{info.name}")
+        for obj in vars(mod).values():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = vars(obj).values() if inspect.isclass(obj) else [obj]
+            for fn in members:
+                fn = getattr(fn, "__func__", fn)
+                if inspect.isfunction(fn) and \
+                        "tol" in inspect.signature(fn).parameters:
+                    found.append(f"{mod.__name__}.{fn.__qualname__}")
+    assert found == []
+    assert not hasattr(config, "get")

@@ -1,9 +1,11 @@
 """Invariance of the global invariants along sampled operator paths."""
 
 import numpy as np
+import pytest
 
-from kreinlab import krein, numerics, signature
+from kreinlab import config, krein, numerics, signature
 from kreinlab.config import ToleranceConfig
+from kreinlab.errors import MembershipError
 from kreinlab.realsym import make_real_structure, random_member
 
 
@@ -56,3 +58,19 @@ def test_tolerance_scaling_env(monkeypatch):
     assert cfg.membership == 10 * base.membership
     assert cfg.quad_start == base.quad_start  # integers untouched
     assert cfg.ambiguous_factor == base.ambiguous_factor  # ratio untouched
+
+
+def test_swapped_default_tolerances_reach_the_checks(monkeypatch):
+    """``config.DEFAULT`` is read at call time, so replacing it retunes the
+    whole stack: a J-hermitian with membership residual 2e-9 passes the
+    default bound 1e-8 and fails it scaled by 1e-2, in the predicate and in
+    the invariant that checks membership first."""
+    K = krein.make_standard(2, 1)
+    h = krein.random_j_hermitian(K, 4) + 1e-9j * np.diag([1.0, 0.0, 0.0])
+    assert krein.is_j_hermitian(h, K).residual == pytest.approx(2e-9)
+    assert krein.is_j_hermitian(h, K)
+    assert signature.global_signature(h, K, "hermitian").global_sig == 1
+    monkeypatch.setattr(config, "DEFAULT", config.DEFAULT.scaled(1e-2))
+    assert not krein.is_j_hermitian(h, K)
+    with pytest.raises(MembershipError):
+        signature.global_signature(h, K, "hermitian")

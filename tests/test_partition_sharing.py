@@ -76,9 +76,9 @@ def test_retraction_path_membership_samples(monkeypatch, kind, m):
     samples = []
     residual = homotopy.OperatorPath.membership_residual
 
-    def counted(path, t, tol=None):
+    def counted(path, t):
         samples.append((path.name, t))
-        return residual(path, t, tol=tol)
+        return residual(path, t)
 
     monkeypatch.setattr(homotopy.OperatorPath, "membership_residual", counted)
     trace = retraction.retract_to_model(h, K, R)

@@ -133,7 +133,7 @@ def test_riesz_node_count_matches_loop(riesz_calls, d_out, nodes):
     rng = np.random.default_rng(0)
     s = np.eye(3) + 0.3 * rng.standard_normal((3, 3))
     t_mat = s @ np.diag([-1.0, 1.0, d_out]) @ np.linalg.inv(s)
-    tol = config.get(None)
+    tol = config.DEFAULT
     if nodes is None:
         with pytest.raises(QuadratureDivergence):
             spectral.riesz_projection(t_mat, [-1.0, 1.0])
@@ -152,7 +152,7 @@ def test_riesz_node_count_matches_loop(riesz_calls, d_out, nodes):
 def test_track_evaluates_each_node_once(riesz_calls, scenario):
     path = homotopy.scenario_library(scenario)
     homotopy.detect_events(homotopy.track(path), path)
-    tol = config.get(None)
+    tol = config.DEFAULT
     assert all(c["resolvents"] == c["nodes"] for c in riesz_calls)
     assert {c["nodes"] for c in riesz_calls} <= {64, 128, 256, 512, 1024}
     # samples next to the collision refine and some diverge at the cap,

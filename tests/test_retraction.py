@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kreinlab import config, krein, numerics, retraction, signature
+from kreinlab import krein, numerics, retraction, signature
 from kreinlab.errors import IncompatibleDimensions, NotGapped, NotInClass
 from kreinlab.realsym import (antisymmetric_unitary_factor, interleaved_skew,
                               make_real_structure, random_member, standard_skew,
@@ -242,11 +242,11 @@ def reference_u_minus(res, tv):
     u_plus, h, nn = res.u_plus, res.log_generator, res.u_plus.shape[0]
     v_t = sla.expm(1j * ((1.0 - tv) * h + tv * np.pi * np.eye(nn)))
     if res.symmetry == "symmetric":
-        v_plus = symmetric_unitary_sqrt(u_plus, config.DEFAULT)
+        v_plus = symmetric_unitary_sqrt(u_plus)
         return v_plus @ v_t.conj().T @ v_plus
     if res.symmetry == "odd-symmetric":
         s = standard_skew(nn)
-        v_plus = antisymmetric_unitary_factor(u_plus, s, config.DEFAULT)
+        v_plus = antisymmetric_unitary_factor(u_plus, s)
         return v_plus.T @ v_t.conj().T @ s @ v_plus
     return u_plus @ v_t.conj().T
 
