@@ -68,22 +68,30 @@ def _square(entries, dim: int) -> np.ndarray:
     return flat.reshape(dim, dim)
 
 
+def _integer(value, name: str) -> int:
+    """A file's integer field: a JSON integer, so not a float or a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise FileFormatError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def _real_structure(kind, n_plus: int, n_minus: int) -> RealStructure:
     """Normal-form real structure of a file's ``[eta, tau]`` kind."""
     try:
-        eta, tau = (int(x) for x in kind)
+        eta, tau = kind
     except (TypeError, ValueError) as exc:
         raise FileFormatError(f"kind must be a pair [eta, tau]: {exc}") from exc
-    return make_real_structure(RealKind(eta, tau), n_plus, n_minus)
+    return make_real_structure(RealKind(_integer(eta, "kind eta"),
+                                        _integer(tau, "kind tau")),
+                               n_plus, n_minus)
 
 
 def parse_matrix_dict(data: dict) -> MatrixFile:
     try:
-        dim = int(data["dim"])
-        n_plus = int(data["n_plus"])
-        n_minus = int(data["n_minus"])
+        dim, n_plus, n_minus = (_integer(data[key], key)
+                                for key in ("dim", "n_plus", "n_minus"))
         entries = data["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed matrix file: {exc}") from exc
     if n_plus + n_minus != dim:
         raise FileFormatError(
@@ -111,10 +119,10 @@ def parse_path_dict(data: dict):
 
     try:
         op_kind = data["kind"]
-        n_plus = int(data["n_plus"])
-        n_minus = int(data["n_minus"])
+        n_plus = _integer(data["n_plus"], "n_plus")
+        n_minus = _integer(data["n_minus"], "n_minus")
         samples = data["samples"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise FileFormatError(f"malformed path file: {exc}") from exc
     if op_kind not in ("unitary", "hermitian"):
         raise FileFormatError("path kind must be 'unitary' or 'hermitian'")

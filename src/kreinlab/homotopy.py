@@ -14,7 +14,8 @@ the collision (quadratically accurate).
 A path owns its samples: :meth:`OperatorPath.sample` computes the matrix and
 its eigenvalues once per parameter value, and tracking, event bisection and
 the cluster-inertia readings all share that sample, since eigenvalue
-branches are functions of the parameter alone.
+branches are functions of the parameter alone.  Membership checks read the
+same matrix through :meth:`OperatorPath.matrix`.
 """
 
 from __future__ import annotations
@@ -50,18 +51,28 @@ class OperatorPath:
     t_end: float = 1.0
     name: str = ""
     expected_events: list = field(default_factory=list)
+    _matrices: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
     _samples: dict = field(default_factory=dict, init=False, repr=False,
                            compare=False)
 
     def __call__(self, t: float) -> np.ndarray:
         return self.sampler(float(t))
 
+    def matrix(self, t: float) -> np.ndarray:
+        """The matrix at t, computed once per parameter value."""
+        t = float(t)
+        a = self._matrices.get(t)
+        if a is None:
+            a = self._matrices[t] = self(t)
+        return a
+
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """``(matrix, eigenvalues)`` at t, computed once per parameter value."""
         t = float(t)
         hit = self._samples.get(t)
         if hit is None:
-            a = self(t)
+            a = self.matrix(t)
             hit = self._samples[t] = (a, numerics.eigvals(a))
         return hit
 
@@ -70,7 +81,7 @@ class OperatorPath:
         return self.t_end - self.t_start
 
     def membership_residual(self, t: float) -> float:
-        a = self(t)
+        a = self.matrix(t)
         if self.real_structure is not None:
             return is_member(a, self.real_structure, self.kind).residual
         if self.kind == "unitary":

@@ -2,13 +2,14 @@
 
 Everything downstream depends only on the contracts of this module:
 validated inputs, linear solves with singularity detection, general
-eigenvalues and hermitian eigendecompositions, orthonormal frames, the
-matrix exponential and logarithm, and optimal assignment.  The heavy lifting
-is LAPACK through ``numpy.linalg``: eigenvalues, eigendecompositions, QR,
-SVDs and the solves themselves.  Three kernels numpy lacks are written here
-over it: the partial-pivot LU pivots that ``solve`` checks, the unitary
-logarithm (eigenvectors orthonormalized by QR in place of a Schur form), and
-the shortest-augmenting-path assignment.  One kernel is left to scipy:
+eigenvalues and eigendecompositions, hermitian eigendecompositions,
+orthonormal frames, the matrix exponential and logarithm, and optimal
+assignment.  The heavy lifting is LAPACK through ``numpy.linalg``:
+eigenvalues, eigendecompositions, QR, SVDs and the solves themselves.  Three
+kernels numpy lacks are written here over it: the partial-pivot LU pivots
+that ``solve`` checks, the unitary logarithm (eigenvectors orthonormalized
+by QR in place of a Schur form), and the shortest-augmenting-path
+assignment.  One kernel is left to scipy:
 ``matrix_exp`` (``expm``), which imports scipy inside the function, so a
 caller that never needs it never pays for importing scipy.  This is the only
 module that names scipy.  The contracts and failure modes are owned here:
@@ -100,6 +101,22 @@ def eigvals(a) -> np.ndarray:
     a = as_matrix(a, square=True, name="A")
     try:
         return np.linalg.eigvals(a)
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
+
+
+def eig(a):
+    """Eigenvalues and right eigenvectors ``(w, v)`` with ``A v = v diag(w)``.
+
+    ``w`` is bit-identical to :func:`eigvals` of the same matrix, so
+    clusters built from either agree: both run LAPACK's ``geev``, and at
+    these sizes (below ``hseqr``'s crossover n = 75) its QR iteration on
+    the active block is the same whether or not it also accumulates the
+    Schur vectors.
+    """
+    a = as_matrix(a, square=True, name="A")
+    try:
+        return np.linalg.eig(a)
     except np.linalg.LinAlgError as exc:
         raise NoConvergence(f"QR iteration did not converge: {exc}") from exc
 

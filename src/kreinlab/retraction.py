@@ -735,7 +735,7 @@ def retract_to_model(h_mat, K: KreinStructure,
         raise StageError("straighten", exc) from exc
 
     seg_straight = PathSegment(stage="straighten", path=straight_path,
-                               start=straight_path(0.0), end=terminal)
+                               start=straight_path.matrix(0.0), end=terminal)
     segments = [seg_flat, lift.segment, seg_straight]
 
     chain_gap = max(

@@ -86,9 +86,23 @@ def matrix_file(**changes):
     (["invariants", "--kind", "hermitian"], matrix_file(kind=5)),
     (["retract"], matrix_file(kind=[1])),
     (["retract"], matrix_file(kind=5)),
+    (["track"], path_file(n_plus=1.0)),
+    (["track"], path_file(n_minus=True)),
+    (["track"], path_file(real_kind=[1, True])),
+    (["invariants", "--kind", "hermitian"], matrix_file(n_plus=1.9)),
+    (["invariants", "--kind", "hermitian"], matrix_file(n_plus=True)),
+    (["invariants", "--kind", "hermitian"], matrix_file(dim=2.0)),
+    (["invariants", "--kind", "hermitian"], matrix_file(dim="2")),
+    (["invariants", "--kind", "hermitian"], matrix_file(kind=[1.5, 1])),
+    (["retract"], matrix_file(n_minus=1.0)),
+    (["retract"], matrix_file(kind=[1, -1.0])),
 ], ids=["sample-without-t", "sample-without-entries", "samples-not-a-list",
         "entries-not-pairs", "real-kind-short", "invariants-kind-short",
-        "invariants-kind-int", "retract-kind-short", "retract-kind-int"])
+        "invariants-kind-int", "retract-kind-short", "retract-kind-int",
+        "path-n-plus-float", "path-n-minus-bool", "real-kind-bool",
+        "n-plus-fractional", "n-plus-bool", "dim-float", "dim-string",
+        "invariants-kind-fractional", "retract-n-minus-float",
+        "retract-kind-float"])
 def test_cli_malformed_file_exits_2(tmp_path, capsys, command, data):
     f = tmp_path / "input.json"
     f.write_text(json.dumps(data))

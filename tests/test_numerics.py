@@ -256,6 +256,18 @@ def test_herm_eig_matches_scipy_eigenvalues_and_inertia():
         assert numerics.norm(a @ v - v * w) <= 1e-12 * numerics.norm(a)
 
 
+def test_eig_values_are_eigvals_bit_for_bit():
+    # spectral_partition clusters eig's eigenvalues where it clustered
+    # eigvals' before; bit equality keeps every cluster and region tag
+    rng = np.random.default_rng(14)
+    for _ in range(400):
+        n = int(rng.integers(1, 17))
+        a = random_complex(rng, n)
+        w, v = numerics.eig(a)
+        assert np.array_equal(w, numerics.eigvals(a))
+        assert numerics.norm(a @ v - v * w) <= 1e-12 * max(numerics.norm(a), 1.0)
+
+
 def test_lapack_failures_are_typed(monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("did not converge")
@@ -263,9 +275,9 @@ def test_lapack_failures_are_typed(monkeypatch):
     for name in ("eigvals", "eig", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, fail)
     a = np.eye(3)
-    for call in (numerics.eigvals, numerics.herm_eig, numerics.orthonormal_frame,
-                 numerics.kernel_frame, numerics.polar_unitary,
-                 numerics.unitary_log):
+    for call in (numerics.eigvals, numerics.eig, numerics.herm_eig,
+                 numerics.orthonormal_frame, numerics.kernel_frame,
+                 numerics.polar_unitary, numerics.unitary_log):
         with pytest.raises(NoConvergence):
             call(a)
 

@@ -90,6 +90,28 @@ def test_retraction_path_membership_samples(monkeypatch, kind, m):
     assert [t for name, t in samples if name != straight] == [0.0, 1.0] * 2
 
 
+@pytest.mark.parametrize("kind, m", [(None, 2), ((1, -1), 3), ((-1, -1), 3)])
+def test_retraction_samples_each_path_once_per_t(monkeypatch, kind, m):
+    # the straightening segment's start is its first membership sample
+    K = krein.make_standard(m, m)
+    if kind is None:
+        R, h = None, krein.random_j_hermitian(K, 5)
+    else:
+        R = realsym.make_real_structure(kind, m, m)
+        h = realsym.random_member(R, "hermitian", 5)
+    samples = []
+    call = homotopy.OperatorPath.__call__
+
+    def counted(path, t):
+        samples.append((id(path), float(t)))
+        return call(path, t)
+
+    monkeypatch.setattr(homotopy.OperatorPath, "__call__", counted)
+    trace = retraction.retract_to_model(h, K, R)
+    assert len(samples) == len(set(samples))
+    assert (id(trace.segments[2].path), 0.0) in samples
+
+
 def test_retraction_checks_h_membership_once(monkeypatch):
     K = krein.make_standard(2, 2)
     h = krein.random_j_hermitian(K, 5)

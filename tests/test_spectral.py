@@ -1,12 +1,17 @@
 """Riesz projections, clustering, region classification, correctors."""
 
+import json
+
 import numpy as np
 import pytest
 
-from kreinlab import krein, numerics, retraction, signature, spectral
+from kreinlab import fileio, krein, numerics, retraction, signature, spectral
+from kreinlab.fixtures import FIXTURE_ROOT, _compute, list_fixtures
+from kreinlab.homotopy import scenario_library
 from kreinlab.errors import (AmbiguousClassification, NoSeparatingContour,
                              QuadratureDivergence, UnmatchedReflection)
-from kreinlab.realsym import make_real_structure, random_member
+from kreinlab.realsym import (full_invariant_report, make_real_structure,
+                              random_member)
 
 
 def test_cluster_eigenvalues_examples():
@@ -234,3 +239,167 @@ def test_flat_partition_rejects_non_flat():
     h = q @ np.diag([1j, 0.5j, 0.0, -1j]) @ np.linalg.inv(q)
     with pytest.raises(QuadratureDivergence):
         spectral.flat_partition(h)
+
+
+# ------------------------------------------- eigenvector projections
+
+GROUP_KINDS = (None, (1, 1), (-1, -1), (-1, 1), (1, -1))
+
+
+def group_operator(kind, op_kind, n, seed):
+    """A random member of the group of real kind ``kind`` (None: U(p, q))."""
+    if kind in ((-1, -1), (1, -1)):
+        p = n // 2
+    elif kind == (-1, 1):
+        p = 2 * (n // 4)
+    else:
+        p = n // 2 - 1
+    if kind is None:
+        K = krein.make_standard(p, n - p)
+        a = (krein.random_j_hermitian(K, seed) if op_kind == "hermitian"
+             else krein.random_j_unitary(K, seed))
+        return a, K, None
+    R = make_real_structure(kind, p, n - p)
+    return random_member(R, op_kind, seed), R.K, R
+
+
+def report(a, K, R, op_kind):
+    if R is None:
+        return signature.global_signature(a, K, op_kind).to_dict()
+    return full_invariant_report(a, R, op_kind, K=K).to_dict()
+
+
+def quadrature_only(monkeypatch):
+    """Make every cluster take Riesz quadrature, as when X is singular."""
+    monkeypatch.setattr(spectral, "_inverse", lambda vecs: None)
+
+
+def off_region_projections_match_quadrature(a, kind) -> int:
+    """Check every off-region cluster of the ``kind`` partition of ``a``
+    against its Riesz projection; return how many there were."""
+    part = spectral.spectral_partition(a, kind)
+    eigs = numerics.eigvals(a)
+    off = [c for c in part.clusters if c.region not in spectral.ON_REGIONS]
+    for c in off:
+        assert c.frame is None
+        q = spectral.riesz_projection(a, c.eigenvalues, all_eigs=eigs)
+        assert numerics.norm(c.projection - q) <= 1e-8
+    return len(off)
+
+
+@pytest.mark.parametrize("kind", GROUP_KINDS)
+@pytest.mark.parametrize("op_kind", ["hermitian", "unitary"])
+def test_eigenvector_projections_match_quadrature(monkeypatch, kind, op_kind):
+    cases = [group_operator(kind, op_kind, n, seed)
+             for n in (4, 10, 16) for seed in (1, 2)]
+    assert sum(off_region_projections_match_quadrature(a, op_kind)
+               for a, _, _ in cases) > 0
+    reports = [report(a, K, R, op_kind) for a, K, R in cases]
+    quadrature_only(monkeypatch)
+    assert reports == [report(a, K, R, op_kind) for a, K, R in cases]
+
+
+def test_eigenvector_projections_on_fixtures(monkeypatch):
+    recipes = [json.loads((FIXTURE_ROOT / name / "input.json").read_text())
+               for name in list_fixtures()]
+    assert len(recipes) == 8
+    for recipe in recipes:
+        if recipe["check"] != "invariants":
+            continue
+        if "matrix" in recipe:
+            a = fileio.parse_matrix_dict(recipe["matrix"]).matrix
+        else:
+            path = scenario_library(recipe["scenario"], recipe.get("params"))
+            a = path(float(recipe.get("at_t", path.t_end)))
+        off_region_projections_match_quadrature(a, recipe["op_kind"])
+    computed = [_compute(recipe) for recipe in recipes]
+    quadrature_only(monkeypatch)
+    assert computed == [_compute(recipe) for recipe in recipes]
+
+
+def riesz_recorder(monkeypatch):
+    calls = []
+    riesz = spectral.riesz_projection
+
+    def recording(t_mat, cluster, all_eigs=None):
+        calls.append(np.asarray(cluster))
+        return riesz(t_mat, cluster, all_eigs=all_eigs)
+
+    monkeypatch.setattr(spectral, "riesz_projection", recording)
+    return calls
+
+
+def test_o33_report_runs_quadrature_only_on_region(monkeypatch):
+    R = make_real_structure((1, 1), 3, 3)
+    a = random_member(R, "unitary", seed=9)
+    calls = riesz_recorder(monkeypatch)
+    rep = full_invariant_report(a, R, "unitary")
+    on = [row for row in rep.rows if row.region == "unit-circle"]
+    assert 0 < len(on) < len(rep.rows)
+    assert [complex(np.mean(c)) for c in calls] == [row.center for row in on]
+
+
+def off_axis_pairs(a):
+    """J-hermitian on (m, m) with spectrum spec(a) and its conjugate: the
+    J = [[0, 1], [1, 0]] member diag(a, a*), carried to the standard J by
+    the symmetric unitary (1/sqrt 2) [[1, 1], [1, -1]]."""
+    m = a.shape[0]
+    one, z = np.eye(m), np.zeros((m, m))
+    c = np.block([[one, one], [one, -one]]) / np.sqrt(2)
+    return c @ np.block([[a, z], [z, a.conj().T]]) @ c
+
+
+def test_failed_eigenvector_projection_falls_back_to_quadrature(monkeypatch):
+    # 2x2 Jordan blocks at 1 + i and 1 - i: the eigenvectors of each block
+    # are parallel to rounding, and the eigenvector projection of the
+    # 1 + i block fails the cluster checks
+    h = off_axis_pairs(np.array([[1 + 1j, 1], [0, 1 + 1j]]))
+    K = krein.make_standard(2, 2)
+    assert krein.is_j_hermitian(h, K).ok
+    calls = riesz_recorder(monkeypatch)
+    part = spectral.spectral_partition(h, "hermitian")
+    assert [c.region for c in part.clusters] == ["lower-half", "upper-half"]
+    (fallback,) = calls
+    up = part.clusters[1]
+    assert np.allclose(fallback, up.eigenvalues)
+    q = spectral.riesz_projection(h, up.eigenvalues,
+                                  all_eigs=numerics.eigvals(h))
+    assert np.array_equal(up.projection, q)
+    assert signature.global_signature(h, K, "hermitian").global_sig == 0
+
+
+def test_singular_eigenvectors_fall_back_to_quadrature(monkeypatch):
+    inv = np.linalg.inv
+
+    def singular_matrices(a):
+        if a.ndim == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", singular_matrices)
+    K = krein.make_standard(3, 2)
+    for a, kind in ((krein.random_j_hermitian(K, 3), "hermitian"),
+                    (krein.random_j_unitary(K, 3), "unitary")):
+        part = spectral.spectral_partition(a, kind)
+        assert any(c.region not in spectral.ON_REGIONS for c in part.clusters)
+        for c in part.clusters:
+            q = spectral.riesz_projection(a, c.eigenvalues,
+                                          all_eigs=numerics.eigvals(a))
+            assert np.array_equal(c.projection, q)
+
+
+def test_ill_conditioned_clusters_keep_quadrature(monkeypatch):
+    # a nearly defective block at 1 + i (eigenvalues 1 + i +- 1e-3, whose
+    # projections have norm about 500) beside a well-conditioned -2 + i/2
+    a = np.array([[1 + 1j, 1, 0], [1e-6, 1 + 1j, 0], [0, 0, -2 + 0.5j]])
+    h = off_axis_pairs(a)
+    calls = riesz_recorder(monkeypatch)
+    part = spectral.spectral_partition(h, "hermitian")
+    assert len(part.clusters) == 6
+    eigs = numerics.eigvals(h)
+    quadrature = [c for c in part.clusters if abs(c.center.real - 1) < 0.01]
+    assert len(calls) == len(quadrature) == 4
+    for c in quadrature:
+        assert numerics.norm(c.projection) > spectral.EIGENVECTOR_PROJECTION_MAX_NORM
+        q = spectral.riesz_projection(h, c.eigenvalues, all_eigs=eigs)
+        assert np.array_equal(c.projection, q)
