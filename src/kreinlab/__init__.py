@@ -28,13 +28,13 @@ _EXPORTS = {
                 "normalize_krein_pair", "random_member"),
     "spectral": ("ClusterPartition", "SpectralCluster", "cluster_eigenvalues",
                  "flat_partition", "fredholm_corrector", "riesz_projection",
-                 "spectral_partition", "spectral_subspaces"),
+                 "spectral_partition"),
     "homotopy": ("BifurcationEvent", "OperatorPath", "Trajectory",
                  "detect_events", "scenario_library", "track",
                  "trajectories_to_csv", "verify_krein_stability"),
-    "retraction": ("RetractionTrace", "block_decompose", "factorize_unitary",
-                   "lagrangian_frames", "lift_kernel", "retract_to_model",
-                   "spectral_flatten", "straighten"),
+    "retraction": ("RetractionTrace", "factorize_unitary", "lagrangian_frames",
+                   "lift_kernel", "retract_to_model", "spectral_flatten",
+                   "straighten"),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 _SUBMODULES = frozenset({"cayley", "cli", "config", "errors", "fileio", "fixtures",

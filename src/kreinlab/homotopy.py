@@ -212,8 +212,7 @@ def _cluster_inertia(path: OperatorPath, t: float, members) -> InertiaPair | Non
         a, eigs = path.sample(t)
         p = spectral.riesz_projection(a, members, all_eigs=eigs)
         mult = int(round(np.trace(p).real))
-        u = np.linalg.svd(p)[0][:, :mult]
-        return form_inertia(u, path.structure)
+        return form_inertia(numerics.range_frame(p, mult), path.structure)
     except KreinLabError:
         return None
 

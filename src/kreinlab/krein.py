@@ -70,24 +70,20 @@ class MembershipResult:
         return self.ok
 
 
-def is_j_unitary(t_mat, K: KreinStructure,
-                 tol_value: float | None = None) -> MembershipResult:
+def is_j_unitary(t_mat, K: KreinStructure) -> MembershipResult:
     """T* J T = J within tolerance; the residual is always returned."""
-    bound = config.DEFAULT.membership if tol_value is None else tol_value
     t_mat = numerics.as_matrix(t_mat, square=True, name="T")
     K.check_dim(t_mat)
     res = numerics.norm(t_mat.conj().T @ K.apply(t_mat) - K.J)
-    return MembershipResult(res <= bound, res)
+    return MembershipResult(res <= config.DEFAULT.membership, res)
 
 
-def is_j_hermitian(h_mat, K: KreinStructure,
-                   tol_value: float | None = None) -> MembershipResult:
+def is_j_hermitian(h_mat, K: KreinStructure) -> MembershipResult:
     """H* J = J H within tolerance; the residual is always returned."""
-    bound = config.DEFAULT.membership if tol_value is None else tol_value
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
     res = numerics.norm(h_mat.conj().T @ K.J - K.apply(h_mat))
-    return MembershipResult(res <= bound, res)
+    return MembershipResult(res <= config.DEFAULT.membership, res)
 
 
 def require_member(a, K: KreinStructure, kind: str) -> MembershipResult:
@@ -148,7 +144,7 @@ def reduce_general_form(j) -> GeneralFormReduction:
                                 W_inv=W_inv, J_from_j=J_from_j)
 
 
-def random_j_hermitian(K: KreinStructure, seed, scale: float = 1.0) -> np.ndarray:
+def random_j_hermitian(K: KreinStructure, seed) -> np.ndarray:
     """Random J-hermitian via H = J A with A = A*.
 
     Membership is exact by algebra: H* J = (JA)* J = A = J (J A) = J H.
@@ -157,14 +153,13 @@ def random_j_hermitian(K: KreinStructure, seed, scale: float = 1.0) -> np.ndarra
     n = K.dim
     g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
     a = (g + g.conj().T) / 2.0
-    return K.apply(a) * scale
+    return K.apply(a)
 
 
-def random_j_unitary(K: KreinStructure, seed, scale: float = 1.0) -> np.ndarray:
-    """Random J-unitary T = exp(i H) with H a random J-hermitian.
-
-    ``scale`` tunes ||H||; values around 1 keep exp well conditioned.
+def random_j_unitary(K: KreinStructure, seed) -> np.ndarray:
+    """Random J-unitary T = exp(i H) with H a random J-hermitian, scaled to
+    ||H|| <= sqrt(dim), which keeps exp well conditioned.
     """
     h = random_j_hermitian(K, seed)
-    h = h / max(numerics.norm(h), 1.0) * scale * K.dim ** 0.5
+    h = h / max(numerics.norm(h), 1.0) * K.dim ** 0.5
     return numerics.matrix_exp(1j * h)

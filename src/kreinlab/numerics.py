@@ -146,6 +146,12 @@ def _svd(a):
         raise NoConvergence(f"SVD did not converge: {exc}") from exc
 
 
+def range_frame(p, rank: int) -> np.ndarray:
+    """Orthonormal frame of the range of a projection ``p`` of known rank:
+    its first ``rank`` left singular vectors."""
+    return _svd(p)[0][:, :rank]
+
+
 def orthonormal_frame(a) -> np.ndarray:
     """Orthonormal basis of the numerical column space of ``a``.
 

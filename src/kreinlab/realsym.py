@@ -263,8 +263,7 @@ def symmetrize_hermitian(h_mat, R: RealStructure) -> np.ndarray:
     return (h_mat - R.S.T @ conj(h_mat) @ R.S) / 2.0
 
 
-def random_member(R: RealStructure, kind: str, seed,
-                  scale: float = 1.0) -> np.ndarray:
+def random_member(R: RealStructure, kind: str, seed) -> np.ndarray:
     """Random member of H(K,J,S) or U(K,J,S).
 
     A random J-hermitian is symmetrized onto the real-linear member space;
@@ -273,8 +272,8 @@ def random_member(R: RealStructure, kind: str, seed,
     h0 = random_j_hermitian(R.K, seed)
     h = symmetrize_hermitian(h0, R)
     if kind == "hermitian":
-        return h * scale
-    h = h / max(numerics.norm(h), 1.0) * scale * R.K.dim ** 0.5
+        return h
+    h = h / max(numerics.norm(h), 1.0) * R.K.dim ** 0.5
     return numerics.matrix_exp(1j * h)
 
 

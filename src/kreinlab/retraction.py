@@ -263,7 +263,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         return LiftResult(segment=seg, kernel_dim=0, kernel_inertia=(0, 0),
                           frame=np.zeros((n, 0)), perturbation=np.zeros((n, n)))
 
-    psi0 = np.linalg.svd(p_re)[0][:, :mult]
+    psi0 = numerics.range_frame(p_re, mult)
     j_psi = psi0.conj().T @ K.apply(psi0)
     w_j = np.linalg.eigvalsh(j_psi)
     if np.min(np.abs(w_j)) <= t.zero_form:
@@ -347,84 +347,6 @@ def _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia):
                 f"residual kernel not definite: inertia {k_inertia}")
 
 
-# --------------------------------------------------------- block reduction
-
-@dataclass
-class BlockDecomposition:
-    M: np.ndarray
-    M_inv: np.ndarray
-    H_psi: np.ndarray
-    J_psi: np.ndarray
-    H_phi: np.ndarray
-    J_phi: np.ndarray
-    psi: np.ndarray
-    phi: np.ndarray
-
-
-def block_decompose(h_mat, K: KreinStructure, e_frame) -> BlockDecomposition:
-    """Split H along an invariant J-non-degenerate subspace E and its
-    J-orthogonal complement F = J E^perp.
-
-    Returns M = (Psi n_Psi, Phi n_Phi) with M^{-1} H M = diag(H_Psi, H_Phi)
-    and M* J M = diag(J_Psi, J_Phi), all verified to tolerance.
-    """
-    h_mat = numerics.as_matrix(h_mat, square=True, name="H")
-    K.check_dim(h_mat)
-    psi = numerics.orthonormal_frame(numerics.as_matrix(e_frame, name="E"))
-    inv_res = numerics.norm(h_mat @ psi - psi @ (psi.conj().T @ h_mat @ psi))
-    if inv_res > 1e-8 * max(1.0, numerics.norm(h_mat)):
-        raise NotInvariant(f"E is not H-invariant (residual {inv_res:.3e})")
-    j_psi_form = psi.conj().T @ K.apply(psi)
-    if np.min(np.abs(np.linalg.eigvalsh(j_psi_form))) <= 1e-8:
-        raise DegenerateSubspace("E is J-degenerate")
-    # F = J E^perp
-    eperp = numerics.kernel_frame(psi.conj().T)
-    if eperp.shape[1]:
-        phi = numerics.orthonormal_frame(K.apply(eperp))
-    else:
-        phi = np.zeros((K.dim, 0), dtype=complex)
-    j_phi_form = phi.conj().T @ K.apply(phi)
-    if phi.shape[1] and np.min(np.abs(np.linalg.eigvalsh(j_phi_form))) <= 1e-8:
-        raise DegenerateSubspace("F is J-degenerate")
-
-    def normalizers(j_form):
-        if j_form.shape[0] == 0:
-            z = np.zeros((0, 0), dtype=complex)
-            return z, z, z
-        w, v = numerics.herm_eig(j_form)
-        n_half = (v * np.abs(w) ** -0.5) @ v.conj().T      # |j|^{-1/2}
-        n_half_inv = (v * np.abs(w) ** 0.5) @ v.conj().T   # |j|^{1/2}
-        j_sign = (v * np.sign(w)) @ v.conj().T
-        return n_half, n_half_inv, j_sign
-
-    n_psi, n_psi_inv, j_psi_sign = normalizers(j_psi_form)
-    n_phi, n_phi_inv, j_phi_sign = normalizers(j_phi_form)
-    m_mat = np.hstack([psi @ n_psi, phi @ n_phi])
-    m_inv = np.vstack([
-        n_psi_inv @ np.linalg.solve(j_psi_form, psi.conj().T @ K.J),
-        n_phi_inv @ np.linalg.solve(j_phi_form, phi.conj().T @ K.J),
-    ])
-    if numerics.norm(m_inv @ m_mat - np.eye(K.dim)) > 1e-8:
-        raise DegenerateSubspace("block basis failed to invert")
-    blocks = m_inv @ h_mat @ m_mat
-    k = psi.shape[1]
-    h_psi, h_phi = blocks[:k, :k], blocks[k:, k:]
-    off = max(numerics.norm(blocks[:k, k:]), numerics.norm(blocks[k:, :k]))
-    if off > 1e-8 * max(1.0, numerics.norm(h_mat)):
-        raise NotInvariant(f"off-diagonal block residual {off:.3e}")
-    gram = m_mat.conj().T @ K.J @ m_mat
-    j_psi = gram[:k, :k]
-    j_phi = gram[k:, k:]
-    off_j = max(numerics.norm(gram[:k, k:]), numerics.norm(gram[k:, :k]))
-    if off_j > 1e-8:
-        raise DegenerateSubspace(f"J does not block-diagonalize ({off_j:.3e})")
-    for j_blk in (j_psi, j_phi):
-        if numerics.norm(j_blk @ j_blk - np.eye(j_blk.shape[0])) > 1e-8:
-            raise DegenerateSubspace("block symmetry does not square to 1")
-    return BlockDecomposition(M=m_mat, M_inv=m_inv, H_psi=h_psi, J_psi=j_psi,
-                              H_phi=h_phi, J_phi=j_phi, psi=psi, phi=phi)
-
-
 # --------------------------------------------------------------- Lagrangian
 
 def oblique_projection(phi_range, phi_kernel, K: KreinStructure) -> np.ndarray:
@@ -464,7 +386,7 @@ def lagrangian_frames(h_flat, K: KreinStructure) -> LagrangianFrames:
     nn = K.n_plus
     out = {}
     for label, proj in (("plus", p_up), ("minus", p_dn)):
-        frame = np.linalg.svd(proj)[0][:, :nn]
+        frame = numerics.range_frame(proj, nn)
         iso = numerics.norm(frame.conj().T @ K.apply(frame))
         if iso > t.isotropy:
             raise NotLagrangian(f"range of P_{label} not isotropic ({iso:.3e})")

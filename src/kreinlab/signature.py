@@ -35,10 +35,6 @@ class InertiaPair:
         return self.nu_plus - self.nu_minus
 
     @property
-    def total(self) -> int:
-        return self.nu_plus + self.nu_minus
-
-    @property
     def indefinite(self) -> bool:
         return self.nu_plus > 0 and self.nu_minus > 0
 
@@ -63,17 +59,15 @@ def form_inertia(frame, K: KreinStructure) -> InertiaPair:
 def inertia(cluster: SpectralCluster, K: KreinStructure) -> InertiaPair:
     """Krein inertia of a cluster.
 
-    On-circle/on-axis clusters get the inertia of J restricted to their
-    spectral subspace; clusters tagged with an off region return (0, 0) by
-    definition.  Untagged clusters are computed unconditionally.
+    On-circle/on-axis clusters get the inertia of J restricted to an
+    orthonormal frame of their projection's range; clusters tagged with an
+    off region return (0, 0) by definition, without a frame.  Untagged
+    clusters are computed unconditionally.
     """
     if cluster.region is not None and cluster.region not in spectral.ON_REGIONS:
         return InertiaPair(0, 0)
-    pair = form_inertia(cluster.frame, K)
-    if pair.total != cluster.multiplicity:
-        raise DegenerateForm(
-            f"inertia total {pair.total} != multiplicity {cluster.multiplicity}")
-    return pair
+    return form_inertia(numerics.range_frame(cluster.projection,
+                                             cluster.multiplicity), K)
 
 
 @dataclass
@@ -148,10 +142,7 @@ def invariant_report(part: ClusterPartition, K: KreinStructure,
         nu = inertia(c, K)
         partner = None
         if c.region not in spectral.ON_REGIONS:
-            if part.kind != "unitary":
-                partner = part.cluster_at(np.conj(c.center))
-            elif abs(c.center) >= 1e-12:
-                partner = part.cluster_at(1.0 / np.conj(c.center))
+            partner = part.reflection_of(c.center, part.kind)
         rows.append(ClusterRow(center=c.center, multiplicity=c.multiplicity,
                                nu=nu, sig=nu.sig, region=c.region,
                                paired_with=partner))

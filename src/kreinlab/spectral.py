@@ -22,8 +22,10 @@ accurate, or when a check fails.  On-region clusters keep quadrature because the
 what the inertia reads, and eigenvalues collide there: near a Krein
 collision the eigenvectors are ill-conditioned or missing, while the
 contour integral needs only resolvents away from the spectrum.  A partition
-without ``kind`` uses quadrature for every cluster.  Only the clusters
-whose inertia is read (untagged or on-region) carry a frame.
+without ``kind`` uses quadrature for every cluster.  A partition holds
+projections only: a frame of a projection's range is taken where an
+inertia is read (:func:`signature.inertia`), and never for an off-region
+cluster, whose inertia is (0, 0).
 
 Region classification (on the real axis / unit circle versus off it) is
 tolerance-banded: eigenvalues inside the band are "on", eigenvalues in the
@@ -43,8 +45,6 @@ from .errors import (AmbiguousClassification, CorrectionFailed,
                      NoSeparatingContour, QuadratureDivergence, UnmatchedReflection)
 from .krein import KreinStructure, require_member
 
-REGIONS_HERMITIAN = ("real-axis", "upper-half", "lower-half")
-REGIONS_UNITARY = ("unit-circle", "inside-disc", "outside-disc")
 ON_REGIONS = ("real-axis", "unit-circle")
 
 # Largest ||P|| (Frobenius) at which an off-region cluster takes its
@@ -99,19 +99,12 @@ def default_delta(eigs) -> float:
 
 @dataclass
 class SpectralCluster:
-    """A separated group of eigenvalues with its spectral projection.
-
-    ``frame`` is an orthonormal basis of the projection's range.  Only the
-    clusters whose inertia is read carry one (untagged and on-region
-    clusters); an off-region cluster has inertia (0, 0) and frame None.
-    """
+    """A separated group of eigenvalues with its spectral projection."""
 
     center: complex
     eigenvalues: np.ndarray
-    indices: list[int]
     multiplicity: int
     projection: np.ndarray
-    frame: np.ndarray | None = None
     region: str | None = None
 
     def validate(self, t_mat):
@@ -130,14 +123,13 @@ class SpectralCluster:
 
 @dataclass
 class ClusterPartition:
-    """All clusters of a matrix, with the inter-cluster gap actually achieved.
+    """All clusters of a matrix.
 
     ``kind`` is the operator kind ('unitary' or 'hermitian') the clusters
     were region-tagged for, or None when they carry no region.
     """
 
     clusters: list[SpectralCluster]
-    gap: float
     delta: float
     dim: int
     kind: str | None = None
@@ -151,6 +143,16 @@ class ClusterPartition:
                           config.DEFAULT.spectrum_match * (1 + abs(target))):
             return None
         return j
+
+    def reflection_of(self, center: complex, kind: str) -> int | None:
+        """Index of the cluster at the J-reflection of ``center``: conj for
+        a hermitian ``kind``, 1/conj for a unitary one; None when there is
+        no such cluster or, for a unitary, |center| < 1e-12."""
+        if kind != "unitary":
+            return self.cluster_at(np.conj(center))
+        if abs(center) < 1e-12:
+            return None
+        return self.cluster_at(1.0 / np.conj(center))
 
     def total_multiplicity(self, region: str | None = None) -> int:
         cs = self.clusters if region is None else \
@@ -231,8 +233,7 @@ def riesz_projection(t_mat, cluster, all_eigs=None) -> np.ndarray:
 
 
 def spectral_partition(t_mat, kind: str | None = None) -> ClusterPartition:
-    """Cluster the spectrum and compute all spectral projections, and the
-    frames that an inertia reads.
+    """Cluster the spectrum and compute all spectral projections.
 
     With ``kind`` ('unitary' or 'hermitian') every cluster is also tagged
     with its region; clusters may not straddle bands.  This one partition
@@ -262,7 +263,7 @@ def spectral_partition(t_mat, kind: str | None = None) -> ClusterPartition:
             c = _checked_cluster(t_mat, eigs, idx, riesz_projection(
                 t_mat, eigs[idx], all_eigs=eigs))
         clusters.append(c)
-    return _validated_partition(t_mat, eigs, clusters, delta, kind)
+    return _validated_partition(t_mat, clusters, delta, kind)
 
 
 def _off_region(members, kind) -> bool:
@@ -310,7 +311,7 @@ def _checked_cluster(t_mat, eigs, idx, p) -> SpectralCluster:
     members = eigs[idx]
     mult = int(round(np.trace(p).real))
     c = SpectralCluster(center=complex(np.mean(members)), eigenvalues=members,
-                        indices=list(idx), multiplicity=mult, projection=p)
+                        multiplicity=mult, projection=p)
     c.validate(t_mat)
     if mult != len(idx):
         raise QuadratureDivergence(
@@ -340,15 +341,14 @@ def flat_partition(h_mat, eigs=None) -> ClusterPartition:
     groups = [np.flatnonzero(nearest == k).tolist() for k in range(3)]
     clusters = [_checked_cluster(h_mat, eigs, idx, p)
                 for idx, p in zip(groups, interpolants) if idx]
-    return _validated_partition(h_mat, eigs, clusters, default_delta(eigs),
+    return _validated_partition(h_mat, clusters, default_delta(eigs),
                                 "hermitian")
 
 
-def _validated_partition(t_mat, eigs, clusters, delta, kind) -> ClusterPartition:
+def _validated_partition(t_mat, clusters, delta, kind) -> ClusterPartition:
     """Partition of ``t_mat`` from its checked clusters, one per eigenvalue
     cluster: the projections must sum to the identity, and with ``kind``
-    every cluster is region-tagged.  Clusters an inertia reads (untagged
-    or on-region) get an orthonormal frame of their projection's range."""
+    every cluster is region-tagged."""
     t = config.DEFAULT
     total = sum(c.multiplicity for c in clusters)
     if total != t_mat.shape[0]:
@@ -356,12 +356,6 @@ def _validated_partition(t_mat, eigs, clusters, delta, kind) -> ClusterPartition
     s = sum(c.projection for c in clusters)
     if numerics.norm(s - np.eye(t_mat.shape[0])) > t.partition_sum:
         raise QuadratureDivergence("projections do not sum to the identity")
-    gap = np.inf
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            for a in clusters[i].eigenvalues:
-                for b in clusters[j].eigenvalues:
-                    gap = min(gap, abs(a - b))
     if kind is not None:
         for c in clusters:
             tags = {_region_of(l, kind, t.eps_region, t.ambiguous_factor)
@@ -371,10 +365,7 @@ def _validated_partition(t_mat, eigs, clusters, delta, kind) -> ClusterPartition
                     f"cluster at {c.center:.8g} straddles regions {sorted(tags)}",
                     eigenvalue=c.center)
             c.region = tags.pop()
-    for c in clusters:
-        if c.region is None or c.region in ON_REGIONS:
-            c.frame = np.linalg.svd(c.projection)[0][:, :c.multiplicity]
-    return ClusterPartition(clusters=clusters, gap=float(gap), delta=delta,
+    return ClusterPartition(clusters=clusters, delta=delta,
                             dim=t_mat.shape[0], kind=kind)
 
 
@@ -397,20 +388,6 @@ def _region_of(lam: complex, kind: str, eps: float, factor: float) -> str:
     return "inside-disc" if abs(lam) < 1.0 else "outside-disc"
 
 
-def spectral_subspaces(t_mat, K: KreinStructure, region: str) -> ClusterPartition:
-    """Partition restricted to the clusters lying in the named region."""
-    if region in REGIONS_HERMITIAN:
-        kind = "hermitian"
-    elif region in REGIONS_UNITARY:
-        kind = "unitary"
-    else:
-        raise ValueError(f"unknown region {region!r}")
-    part = spectral_partition(t_mat, kind)
-    kept = [c for c in part.clusters if c.region == region]
-    return ClusterPartition(clusters=kept, gap=part.gap, delta=part.delta,
-                            dim=part.dim, kind=kind)
-
-
 @dataclass
 class SymmetryReport:
     """Residuals of the projection reflection identities, cluster by cluster."""
@@ -425,25 +402,16 @@ class SymmetryReport:
 
 def check_projection_symmetry(a, K: KreinStructure, part: ClusterPartition,
                               kind: str) -> SymmetryReport:
-    """Check P_cluster^* = J P_reflected J with the kind-appropriate reflection.
-
-    For unitaries the reflection is lam -> 1/conj(lam); for hermitians it is
-    lam -> conj(lam).  Raises :class:`UnmatchedReflection` when a reflected
-    cluster is missing.
+    """Check P_cluster^* = J P_reflected J, each reflected cluster found by
+    :meth:`ClusterPartition.reflection_of` for ``kind``.  Raises
+    :class:`UnmatchedReflection` when a reflected cluster is missing.
     """
     pairs, residuals = [], []
     for i, c in enumerate(part.clusters):
-        if kind == "unitary":
-            if abs(c.center) < 1e-12:
-                raise UnmatchedReflection(
-                    f"cluster at {c.center:.3g} has no inverse-conjugate image")
-            target = 1.0 / np.conj(c.center)
-        else:
-            target = np.conj(c.center)
-        j = part.cluster_at(target)
+        j = part.reflection_of(c.center, kind)
         if j is None:
             raise UnmatchedReflection(
-                f"no cluster at the reflection {target:.6g} of {c.center:.6g}")
+                f"no cluster at the {kind} reflection of {c.center:.6g}")
         res = numerics.norm(c.projection.conj().T
                             - K.J @ part.clusters[j].projection @ K.J)
         pairs.append((i, j))

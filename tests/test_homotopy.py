@@ -207,6 +207,21 @@ def test_global_signature_constant_along_library_paths():
         assert sigs == {path.structure.n_plus - path.structure.n_minus}, name
 
 
+def test_cluster_inertia_undecided_when_frame_svd_fails(monkeypatch):
+    # a LAPACK failure in the frame of the projection is a typed
+    # NoConvergence, which leaves the inertia undecided instead of aborting
+    from kreinlab import homotopy
+
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    path = rotation_pair_path()
+    members = path.sample(1.0)[1][:1]
+    assert homotopy._cluster_inertia(path, 1.0, members) is not None
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    assert homotopy._cluster_inertia(path, 1.0, members) is None
+
+
 def test_track_programming_error_in_inertia_propagates(monkeypatch):
     from kreinlab import homotopy
 

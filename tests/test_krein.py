@@ -84,20 +84,20 @@ def test_random_j_hermitian_membership_exact():
     for seed in range(5):
         K = krein.make_standard(2, 3)
         h = krein.random_j_hermitian(K, seed)
-        assert krein.is_j_hermitian(h, K, 1e-12).ok
+        assert krein.is_j_hermitian(h, K).residual <= 1e-12
 
 
 def test_random_j_hermitian_h_equals_j_case():
     # H = J A with A = 1 gives H = J, trivially J-hermitian
     K = krein.make_standard(2, 1)
-    assert krein.is_j_hermitian(K.apply(np.eye(3)), K, 1e-14).ok
+    assert krein.is_j_hermitian(K.apply(np.eye(3)), K).residual <= 1e-14
 
 
 def test_random_j_unitary_membership():
     for seed in range(5):
         K = krein.make_standard(2, 2)
         t_mat = krein.random_j_unitary(K, seed)
-        assert krein.is_j_unitary(t_mat, K, 1e-8).ok
+        assert krein.is_j_unitary(t_mat, K).residual <= 1e-8
     # H = 0 gives T = 1
     np.testing.assert_allclose(
         numerics.matrix_exp(1j * np.zeros((2, 2))), np.eye(2))
@@ -107,15 +107,15 @@ def test_group_law_products_and_inverses():
     K = krein.make_standard(2, 1)
     a = krein.random_j_unitary(K, 10)
     b = krein.random_j_unitary(K, 11)
-    assert krein.is_j_unitary(a @ b, K, 1e-7).ok
-    assert krein.is_j_unitary(np.linalg.inv(a), K, 1e-7).ok
+    assert krein.is_j_unitary(a @ b, K).residual <= 1e-7
+    assert krein.is_j_unitary(np.linalg.inv(a), K).residual <= 1e-7
 
 
 def test_real_linear_combinations_of_j_hermitians():
     K = krein.make_standard(2, 2)
     h1 = krein.random_j_hermitian(K, 20)
     h2 = krein.random_j_hermitian(K, 21)
-    assert krein.is_j_hermitian(0.3 * h1 - 1.7 * h2, K, 1e-10).ok
+    assert krein.is_j_hermitian(0.3 * h1 - 1.7 * h2, K).residual <= 1e-10
 
 
 def test_spectral_reflection_properties():

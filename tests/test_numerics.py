@@ -277,6 +277,7 @@ def test_lapack_failures_are_typed(monkeypatch):
     a = np.eye(3)
     for call in (numerics.eigvals, numerics.eig, numerics.herm_eig,
                  numerics.orthonormal_frame, numerics.kernel_frame,
+                 lambda p: numerics.range_frame(p, 2),
                  numerics.polar_unitary, numerics.unitary_log):
         with pytest.raises(NoConvergence):
             call(a)

@@ -11,7 +11,6 @@ from kreinlab.errors import IncompatibleDimensions, NotGapped, NotInClass
 from kreinlab.realsym import (antisymmetric_unitary_factor, interleaved_skew,
                               make_real_structure, random_member, standard_skew,
                               symmetric_unitary_sqrt)
-from helpers import multiset_match
 
 ALL_KINDS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
 
@@ -40,46 +39,6 @@ def test_flatten_random_endpoint_spectrum():
         seg = retraction.spectral_flatten(h, K)
         assert retraction.flat_spectrum_residual(numerics.eigvals(seg.end)) <= 1e-6
         assert seg.path.verify_membership(n_samples=9) <= 1e-7
-
-
-def test_block_decompose_whole_space():
-    K = krein.make_standard(1, 1)
-    h = skew_pair()
-    dec = retraction.block_decompose(h, K, np.eye(2))
-    assert dec.H_phi.shape == (0, 0)
-    assert numerics.norm(dec.J_psi @ dec.J_psi - np.eye(2)) <= 1e-10
-
-
-def test_block_decompose_diagonal_split():
-    # block-diagonal operator: real pair on one block, imaginary on the other
-    K = krein.make_standard(2, 2)
-    h = np.zeros((4, 4), dtype=complex)
-    # real-eigenvalue part on coordinates (0, 2); imaginary part on (1, 3)
-    h[0, 0], h[2, 2] = 1.0, -1.0
-    h[1, 3], h[3, 1] = 1j, 1j
-    assert krein.is_j_hermitian(h, K).ok
-    e_frame = np.zeros((4, 2))
-    e_frame[0, 0] = e_frame[2, 1] = 1.0
-    dec = retraction.block_decompose(h, K, e_frame)
-    np.testing.assert_allclose(sorted(np.linalg.eigvals(dec.H_psi).real),
-                               [-1.0, 1.0], atol=1e-9)
-    np.testing.assert_allclose(sorted(np.linalg.eigvals(dec.H_phi).imag),
-                               [-1.0, 1.0], atol=1e-9)
-
-
-def test_block_decompose_spectra_union():
-    K = krein.make_standard(2, 2)
-    for seed in (3, 5):
-        h = krein.random_j_hermitian(K, seed)
-        from kreinlab import spectral
-        part = spectral.spectral_subspaces(h, K, "real-axis")
-        if not part.clusters:
-            continue
-        e_frame = np.hstack([c.frame for c in part.clusters])
-        dec = retraction.block_decompose(h, K, e_frame)
-        lam = np.concatenate([np.linalg.eigvals(dec.H_psi),
-                              np.linalg.eigvals(dec.H_phi)])
-        assert multiset_match(lam, np.linalg.eigvals(h), 1e-7)
 
 
 def test_lift_zero_operator_plain():

@@ -79,39 +79,40 @@ def test_partition_invariants_random():
             assert numerics.norm(p @ a - a @ p) <= 1e-8 * numerics.norm(a)
 
 
+def in_region(t_mat, kind, region):
+    """Clusters of the ``kind``-tagged partition of ``t_mat`` in ``region``."""
+    part = spectral.spectral_partition(t_mat, kind)
+    return [c for c in part.clusters if c.region == region]
+
+
 def test_spectral_subspaces_skew_block():
-    K = krein.make_standard(1, 1)
     h = 1j * np.array([[0.0, 1.0], [1.0, 0.0]])
-    assert spectral.spectral_subspaces(h, K, "real-axis").clusters == []
-    up = spectral.spectral_subspaces(h, K, "upper-half")
-    assert len(up.clusters) == 1
-    np.testing.assert_allclose(up.clusters[0].center, 1j, atol=1e-9)
-    dn = spectral.spectral_subspaces(h, K, "lower-half")
-    np.testing.assert_allclose(dn.clusters[0].center, -1j, atol=1e-9)
+    assert in_region(h, "hermitian", "real-axis") == []
+    up = in_region(h, "hermitian", "upper-half")
+    assert len(up) == 1
+    np.testing.assert_allclose(up[0].center, 1j, atol=1e-9)
+    dn = in_region(h, "hermitian", "lower-half")
+    np.testing.assert_allclose(dn[0].center, -1j, atol=1e-9)
 
 
 def test_spectral_subspaces_unit_circle():
-    K = krein.make_standard(1, 1)
     th = 0.7
     t_mat = np.diag([np.exp(1j * th), np.exp(-1j * th)])
-    part = spectral.spectral_subspaces(t_mat, K, "unit-circle")
-    assert part.total_multiplicity() == 2
+    part = spectral.spectral_partition(t_mat, "unitary")
+    assert part.total_multiplicity("unit-circle") == 2
 
 
 def test_spectral_subspaces_real_pair_oracle():
     # eigenvalues of [[t,1],[-1,-t]] solve lambda^2 = t^2 - 1
-    K = krein.make_standard(1, 1)
     h = np.array([[2.0, 1.0], [-1.0, -2.0]], dtype=complex)
-    part = spectral.spectral_subspaces(h, K, "real-axis")
-    centers = sorted(c.center.real for c in part.clusters)
+    centers = sorted(c.center.real for c in in_region(h, "hermitian", "real-axis"))
     np.testing.assert_allclose(centers, [-np.sqrt(3), np.sqrt(3)], atol=1e-9)
 
 
 def test_ambiguous_classification_raises():
-    K = krein.make_standard(1, 1)
     h = np.diag([1.0 + 3e-7j, -1.0])  # inside the ambiguity band
     with pytest.raises(AmbiguousClassification):
-        spectral.spectral_subspaces(h, K, "real-axis")
+        spectral.spectral_partition(h, "hermitian")
 
 
 def test_projection_symmetry_hermitian_real_spectrum():
@@ -274,14 +275,21 @@ def quadrature_only(monkeypatch):
     monkeypatch.setattr(spectral, "_inverse", lambda vecs: None)
 
 
-def off_region_projections_match_quadrature(a, kind) -> int:
+def off_region_projections_match_quadrature(monkeypatch, a, K, kind) -> int:
     """Check every off-region cluster of the ``kind`` partition of ``a``
-    against its Riesz projection; return how many there were."""
+    against its Riesz projection, and that its inertia is (0, 0) without a
+    frame of its range; return how many there were."""
     part = spectral.spectral_partition(a, kind)
     eigs = numerics.eigvals(a)
     off = [c for c in part.clusters if c.region not in spectral.ON_REGIONS]
+
+    def no_frame(p, rank):
+        raise AssertionError("an off-region cluster took a frame")
+
     for c in off:
-        assert c.frame is None
+        with monkeypatch.context() as m:
+            m.setattr(numerics, "range_frame", no_frame)
+            assert signature.inertia(c, K).as_tuple() == (0, 0)
         q = spectral.riesz_projection(a, c.eigenvalues, all_eigs=eigs)
         assert numerics.norm(c.projection - q) <= 1e-8
     return len(off)
@@ -292,8 +300,9 @@ def off_region_projections_match_quadrature(a, kind) -> int:
 def test_eigenvector_projections_match_quadrature(monkeypatch, kind, op_kind):
     cases = [group_operator(kind, op_kind, n, seed)
              for n in (4, 10, 16) for seed in (1, 2)]
-    assert sum(off_region_projections_match_quadrature(a, op_kind)
-               for a, _, _ in cases) > 0
+    assert sum(off_region_projections_match_quadrature(monkeypatch, a, K,
+                                                       op_kind)
+               for a, K, _ in cases) > 0
     reports = [report(a, K, R, op_kind) for a, K, R in cases]
     quadrature_only(monkeypatch)
     assert reports == [report(a, K, R, op_kind) for a, K, R in cases]
@@ -307,11 +316,13 @@ def test_eigenvector_projections_on_fixtures(monkeypatch):
         if recipe["check"] != "invariants":
             continue
         if "matrix" in recipe:
-            a = fileio.parse_matrix_dict(recipe["matrix"]).matrix
+            mf = fileio.parse_matrix_dict(recipe["matrix"])
+            a, K = mf.matrix, mf.K
         else:
             path = scenario_library(recipe["scenario"], recipe.get("params"))
-            a = path(float(recipe.get("at_t", path.t_end)))
-        off_region_projections_match_quadrature(a, recipe["op_kind"])
+            a, K = path(float(recipe.get("at_t", path.t_end))), path.structure
+        off_region_projections_match_quadrature(monkeypatch, a, K,
+                                                recipe["op_kind"])
     computed = [_compute(recipe) for recipe in recipes]
     quadrature_only(monkeypatch)
     assert computed == [_compute(recipe) for recipe in recipes]
