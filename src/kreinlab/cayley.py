@@ -105,14 +105,11 @@ def cayley_inv_op(t_mat, K: KreinStructure, p: CayleyParams | None = None) -> np
     return numerics.solve(den.T, num.T).T
 
 
-def pick_zeta(eigs, candidates: int = 16, real_symmetric: bool = False) -> complex:
-    """Deterministic admissible zeta: the root of unity farthest from the
-    spectrum (restricted to {1, -1} when real symmetry must be preserved)."""
+def pick_zeta(eigs) -> complex:
+    """Deterministic admissible zeta: the 16th root of unity farthest from
+    the spectrum."""
     eigs = np.asarray(eigs, dtype=complex)
-    if real_symmetric:
-        cands = [1.0 + 0.0j, -1.0 + 0.0j]
-    else:
-        cands = [cmath.exp(2j * cmath.pi * k / candidates) for k in range(candidates)]
+    cands = [cmath.exp(2j * cmath.pi * k / 16) for k in range(16)]
     dists = [float(np.min(np.abs(eigs - c))) if eigs.size else 1.0 for c in cands]
     return complex(cands[int(np.argmax(dists))])
 
@@ -122,10 +119,8 @@ class TransportReport:
     """Invariant reports for H and C(H) with clusters matched through the
     scalar map."""
 
-    params: CayleyParams
     hermitian_report: signature.InvariantReport
     unitary_report: signature.InvariantReport
-    matches: list[tuple[int, int]]
     inertia_equal: bool
     sig_equal: bool
 
@@ -161,7 +156,6 @@ def transport_report(h_mat, K: KreinStructure,
         matches.append((i, best))
     inertia_equal = all(
         rep_h.rows[i].nu == rep_t.rows[j].nu for i, j in matches)
-    return TransportReport(params=p, hermitian_report=rep_h,
-                           unitary_report=rep_t, matches=matches,
+    return TransportReport(hermitian_report=rep_h, unitary_report=rep_t,
                            inertia_equal=inertia_equal,
                            sig_equal=rep_h.global_sig == rep_t.global_sig)

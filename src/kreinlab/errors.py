@@ -31,10 +31,6 @@ class DimensionMismatch(KreinLabError):
     """Operator dimensions do not match the Krein structure."""
 
 
-class SingularForm(KreinLabError):
-    """A sesquilinear form expected to be invertible is numerically singular."""
-
-
 class MembershipError(KreinLabError):
     """An operator fails a membership predicate required as a precondition."""
 

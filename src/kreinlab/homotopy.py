@@ -144,7 +144,6 @@ class TrajectorySample:
 class Trajectory:
     track_id: int
     samples: list[TrajectorySample]
-    continuity_bound: float = 0.0
 
     def values(self) -> np.ndarray:
         return np.array([s.value for s in self.samples])
@@ -240,7 +239,6 @@ def track(path: OperatorPath, initial_grid: int = 9,
     idx = np.lexsort((e0.imag, e0.real))
     tracked = [e0[idx]]
     pending = ts[1:]
-    worst_move = 0.0
     while pending:
         t1 = pending[0]
         t0v = accepted[-1]
@@ -261,14 +259,12 @@ def track(path: OperatorPath, initial_grid: int = 9,
             raise StepUnderflow(
                 f"eigenvalue moved {moves.max():.3e} over a minimal step",
                 bracket=(t0v, t1))
-        worst_move = max(worst_move, float(moves.max()))
         accepted.append(t1)
         tracked.append(new)
         pending.pop(0)
 
     # classify and attach inertia sample by sample
-    trajs = [Trajectory(track_id=i, samples=[], continuity_bound=worst_move)
-             for i in range(len(tracked[0]))]
+    trajs = [Trajectory(track_id=i, samples=[]) for i in range(len(tracked[0]))]
     for t_k, vals in zip(accepted, tracked):
         tags = [_region_tag(path, l) for l in vals]
         nus: list[InertiaPair | None] = [None] * len(vals)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import config, numerics
-from .errors import DimensionMismatch, MembershipError, NotHermitian, SingularForm
+from .errors import DimensionMismatch, MembershipError
 
 
 @dataclass(frozen=True)
@@ -96,52 +96,6 @@ def require_member(a, K: KreinStructure, kind: str) -> MembershipResult:
             f"operator is not J-{kind} (residual {member.residual:.3e})",
             residual=member.residual)
     return member
-
-
-@dataclass(frozen=True)
-class GeneralFormReduction:
-    """Conjugators reducing a general invertible hermitian form j to the
-    standard J.
-
-    ``W`` satisfies W* J W = j and W* W = |j|; conjugating a j-unitary U as
-    W U W^{-1} yields a J-unitary for the standard structure ``K``.
-    """
-
-    K: KreinStructure
-    W: np.ndarray
-    W_inv: np.ndarray
-    J_from_j: np.ndarray  # j |j|^{-1} in the original basis
-
-
-def reduce_general_form(j) -> GeneralFormReduction:
-    """Reduce an invertible hermitian form j to the standard structure.
-
-    j = V D V* with D sorted descending gives W = |D|^{1/2} V*; then
-    W U W^{-1} is J-unitary whenever U is j-unitary.
-    """
-    j = numerics.as_matrix(j, square=True, name="j")
-    dev = numerics.norm(j - j.conj().T)
-    if dev > config.DEFAULT.herm_rtol * max(numerics.norm(j), 1.0):
-        raise NotHermitian(f"form is not hermitian, deviation {dev:.3e}")
-    w, v = numerics.herm_eig(j)
-    scale = max(np.abs(w).max(), 1e-300)
-    if np.abs(w).min() <= 1e-10 * scale:
-        raise SingularForm(
-            f"smallest |eigenvalue| {np.abs(w).min():.3e} below 1e-10 * ||j||")
-    order = np.argsort(-w)  # descending: positives first
-    w = w[order]
-    v = v[:, order]
-    # fix the eigenvector phase so diagonal forms reduce to diagonal W
-    for k in range(v.shape[1]):
-        lead = v[np.argmax(np.abs(v[:, k])), k]
-        v[:, k] *= np.conj(lead) / abs(lead)
-    n_plus = int(np.sum(w > 0))
-    n_minus = int(np.sum(w < 0))
-    W = (np.sqrt(np.abs(w))[:, None]) * v.conj().T
-    W_inv = v * (1.0 / np.sqrt(np.abs(w)))[None, :]
-    J_from_j = (v * np.sign(w)) @ v.conj().T
-    return GeneralFormReduction(K=make_standard(n_plus, n_minus), W=W,
-                                W_inv=W_inv, J_from_j=J_from_j)
 
 
 def random_j_hermitian(K: KreinStructure, seed) -> np.ndarray:

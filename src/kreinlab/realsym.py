@@ -234,25 +234,27 @@ def kramers_check(a, R: RealStructure, kind: str) -> KramersReport:
 
     For eta = -1 only.  Unitary members are checked at real eigenvalues,
     hermitian members at purely imaginary eigenvalues.  Returns diagnostics
-    instead of raising.
+    instead of raising.  The algebraic multiplicity is the size of the
+    eigenvalue cluster; no projection is computed.
     """
     match = config.DEFAULT.spectrum_match
     if R.kind.eta != -1:
         raise ValueError("Kramers degeneracy requires eta = -1")
-    part = spectral.spectral_partition(a)
+    eigs = numerics.eigvals(a)
     n = R.K.dim
     entries = []
     ok = True
-    for c in part.clusters:
-        on_point = abs(c.center.imag) <= match if kind == "unitary" \
-            else abs(c.center.real) <= match
+    for idx in spectral.cluster_eigenvalues(eigs, spectral.default_delta(eigs)):
+        center = complex(np.mean(eigs[idx]))
+        on_point = abs(center.imag) <= match if kind == "unitary" \
+            else abs(center.real) <= match
         if not on_point:
             continue
-        geo = numerics.kernel_frame(a - c.center * np.eye(n)).shape[1]
-        entry = {"eigenvalue": c.center, "algebraic": c.multiplicity,
-                 "geometric": geo}
-        entries.append(entry)
-        if c.multiplicity % 2 or geo % 2:
+        algebraic = len(idx)
+        geo = numerics.kernel_frame(a - center * np.eye(n)).shape[1]
+        entries.append({"eigenvalue": center, "algebraic": algebraic,
+                        "geometric": geo})
+        if algebraic % 2 or geo % 2:
             ok = False
     return KramersReport(ok=ok, entries=entries)
 
@@ -321,11 +323,21 @@ def full_invariant_report(a, R: RealStructure | None, kind: str,
 
 # ------------------------------------------------- normal-form basis change
 
+def _unitary_root(v, s, branch_point) -> np.ndarray:
+    """exp(i h / 2) for v = exp(i h) symmetrized to h = h^T (``s=None``), or
+    s exp(i h / 2) for h symmetrized to s* h^T s = h; the logarithm cut of
+    v sits at ``branch_point`` (``None``: in the largest spectral gap)."""
+    h = numerics.unitary_log(v, branch_point=branch_point)
+    if s is None:
+        h = (h + h.T) / 2.0
+        return numerics.unitary_exp(0.5 * h)
+    h = (h + s.T @ h.T @ s) / 2.0
+    return s @ numerics.unitary_exp(0.5 * h)
+
+
 def symmetric_unitary_sqrt(u) -> np.ndarray:
     """Symmetric b with b @ b = b @ b.T = u, for symmetric unitary u."""
-    h = numerics.unitary_log(u, branch_point=None)
-    h = (h + h.T) / 2.0
-    return numerics.unitary_exp(0.5 * h)
+    return _unitary_root(u, None, None)
 
 
 def antisymmetric_unitary_factor(u, s) -> np.ndarray:
@@ -334,9 +346,7 @@ def antisymmetric_unitary_factor(u, s) -> np.ndarray:
     s*u is odd symmetric, so s*u = exp(i h) with s* h^T s = h and
     v = s exp(i h / 2) does the job.
     """
-    h = numerics.unitary_log(s.T @ u, branch_point=None)
-    h = (h + s.T @ h.T @ s) / 2.0
-    return s @ numerics.unitary_exp(0.5 * h)
+    return _unitary_root(s.T @ u, s, None)
 
 
 def _antiunitary_block(frame, s_full) -> np.ndarray:

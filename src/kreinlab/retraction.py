@@ -21,9 +21,17 @@ for (-1,-1), quaternionic for (-1,1), symmetric for (1,-1).
 Only the input H is partitioned by contour quadrature.  The flattened,
 lifted and terminal operators are flat, so their projections are the
 Lagrange interpolants of :func:`spectral.flat_partition`, which reuses the
-eigenvalues that certified each of them flat.  Flatten and lift
-are affine in t, so their membership is certified at the two endpoints; the
-straightening path is sampled.  The straightening reads every u_-(t) from
+eigenvalues that certified each of them flat.  A segment's endpoints are its
+path's own samples at t = 0 and t = 1, so the terminal is the straightening
+path sampled once at t = 1.  Flatten and lift are affine in t, so their
+membership is certified at the two endpoints; the straightening path is
+sampled.
+
+One straightening tail serves every case: frames, :func:`straighten` and
+the path.  Without residual kernel it straightens the lifted operator
+itself; with the forced (1,1)-kernel of kind (-1,-1) it straightens the
+block B = Theta^+ H Theta on the kernel's complement and carries the block
+path back as Theta B(t) Theta^+.  The straightening reads every u_-(t) from
 one eigendecomposition of its logarithm h and certifies all its samples
 with one stacked SVD.
 """
@@ -42,11 +50,11 @@ from .errors import (DegenerateSubspace, FramePreparationFailed,
                      NotLagrangian, PathBlocked, StageError)
 from .homotopy import OperatorPath
 from .krein import KreinStructure, require_member
-from .realsym import (RealStructure, antisymmetric_unitary_factor, conj,
-                      interleaved_skew, is_member, normalize_krein_pair,
-                      standard_skew, symmetric_unitary_sqrt)
+from .realsym import (RealStructure, _unitary_root,
+                      antisymmetric_unitary_factor, conj, interleaved_skew,
+                      is_member, normalize_krein_pair, standard_skew,
+                      symmetric_unitary_sqrt)
 
-STAGES = ("flatten", "lift", "straighten", "final")
 SEGMENT_SAMPLES = 9   # membership samples on the straightening segment
 # Flatten and lift are affine in t, and both membership residuals are norms
 # of expressions linear in H, hence convex in t: on these segments the
@@ -56,19 +64,24 @@ AFFINE_STAGES = ("flatten", "lift")
 
 @dataclass
 class PathSegment:
+    """A retraction stage; its endpoints are the samples of its path."""
+
     stage: str
     path: OperatorPath
-    start: np.ndarray
-    end: np.ndarray
+
+    @property
+    def start(self) -> np.ndarray:
+        return self.path.matrix(self.path.t_start)
+
+    @property
+    def end(self) -> np.ndarray:
+        return self.path.matrix(self.path.t_end)
 
 
 @dataclass
 class RetractionTrace:
     segments: list[PathSegment]
-    initial: np.ndarray
     terminal: np.ndarray
-    p_plus: np.ndarray
-    p_minus: np.ndarray
     u_plus: np.ndarray
     terminal_block: np.ndarray
     terminal_class: str
@@ -120,10 +133,10 @@ def _require_membership(h_mat, K, R):
     return member
 
 
-def _segment(stage, sampler, K, R, start, end, name) -> PathSegment:
+def _segment(stage, sampler, K, R) -> PathSegment:
     path = OperatorPath(sampler=sampler, structure=K, kind="hermitian",
-                        real_structure=R, name=name)
-    return PathSegment(stage=stage, path=path, start=start, end=end)
+                        real_structure=R, name=stage)
+    return PathSegment(stage=stage, path=path)
 
 
 # ------------------------------------------------------------------ flatten
@@ -159,25 +172,24 @@ def spectral_flatten(h_mat, K: KreinStructure,
     K.check_dim(h_mat)
     _require_membership(h_mat, K, R)
     return _flatten(h_mat, spectral.spectral_partition(h_mat, "hermitian"),
-                    K, R)[0]
+                    K, R)
 
 
-def _flatten(h_mat, part, K, R) -> tuple[PathSegment, np.ndarray]:
-    """The flatten segment of a member H from its hermitian-tagged partition,
-    and the eigenvalues of its endpoint."""
+def _flatten(h_mat, part, K, R) -> PathSegment:
+    """The flatten segment of a member H from its hermitian-tagged partition;
+    its path's sample at t = 1 holds the eigenvalues of the endpoint."""
     p_up, p_dn, _ = _halfplane_projections(part)
     d_op = 1j * (p_up - p_dn)
 
     def sampler(s):
         return (1.0 - s) * h_mat + s * d_op
 
-    end = sampler(1.0)
-    eigs = numerics.eigvals(end)
-    res = flat_spectrum_residual(eigs)
+    seg = _segment("flatten", sampler, K, R)
+    res = flat_spectrum_residual(seg.path.sample(1.0)[1])
     if res > config.DEFAULT.terminal_spectrum:
         raise FramePreparationFailed(
             f"flatten endpoint spectrum off {{-i,0,i}} by {res:.3e}")
-    return _segment("flatten", sampler, K, R, h_mat.copy(), end, "flatten"), eigs
+    return seg
 
 
 # --------------------------------------------------------------------- lift
@@ -226,8 +238,6 @@ class LiftResult:
     segment: PathSegment
     kernel_dim: int
     kernel_inertia: tuple[int, int]
-    frame: np.ndarray
-    perturbation: np.ndarray
 
 
 def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
@@ -251,7 +261,6 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     if res_flat > t.terminal_spectrum:
         raise FramePreparationFailed(
             f"lift requires spectrum in {{-i,0,i}}, off by {res_flat:.3e}")
-    n = K.dim
     p_up, p_dn, p_re = _halfplane_projections(
         spectral.flat_partition(h_flat, eigs=eigs))
     mult = int(round(np.trace(p_re).real))
@@ -259,9 +268,8 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
         def sampler(s):
             return h_flat
 
-        seg = _segment("lift", sampler, K, R, h_flat.copy(), h_flat.copy(), "lift")
-        return LiftResult(segment=seg, kernel_dim=0, kernel_inertia=(0, 0),
-                          frame=np.zeros((n, 0)), perturbation=np.zeros((n, n)))
+        return LiftResult(segment=_segment("lift", sampler, K, R),
+                          kernel_dim=0, kernel_inertia=(0, 0))
 
     psi0 = numerics.range_frame(p_re, mult)
     j_psi = psi0.conj().T @ K.apply(psi0)
@@ -314,8 +322,8 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     def sampler(s):
         return h_flat + s * pert
 
-    end = sampler(1.0)
-    kernel = numerics.kernel_frame(end)
+    seg = _segment("lift", sampler, K, R)
+    kernel = numerics.kernel_frame(seg.end)
     k_dim = kernel.shape[1]
     if k_dim:
         nu = signature.form_inertia(kernel, K)
@@ -323,9 +331,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     else:
         k_inertia = (0, 0)
     _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia)
-    seg = _segment("lift", sampler, K, R, h_flat.copy(), end, "lift")
-    return LiftResult(segment=seg, kernel_dim=k_dim, kernel_inertia=k_inertia,
-                      frame=psi, perturbation=pert)
+    return LiftResult(segment=seg, kernel_dim=k_dim, kernel_inertia=k_inertia)
 
 
 def _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia):
@@ -356,12 +362,19 @@ def oblique_projection(phi_range, phi_kernel, K: KreinStructure) -> np.ndarray:
     return phi_range @ np.linalg.solve(cross, phi_kernel.conj().T @ K.J)
 
 
+def _pair_projections(u_plus, u_minus, K: KreinStructure):
+    """(P_+, P_-) of the Lagrangian pair with frames (u_+-; 1)/sqrt2."""
+    nn = u_plus.shape[0]
+    phi_p = np.vstack([u_plus, np.eye(nn)]) / np.sqrt(2.0)
+    phi_m = np.vstack([u_minus, np.eye(nn)]) / np.sqrt(2.0)
+    return (oblique_projection(phi_p, phi_m, K),
+            oblique_projection(phi_m, phi_p, K))
+
+
 @dataclass
 class LagrangianFrames:
     u_plus: np.ndarray
     u_minus: np.ndarray
-    p_plus: np.ndarray
-    p_minus: np.ndarray
     certificate: float
 
 
@@ -384,7 +397,7 @@ def lagrangian_frames(h_flat, K: KreinStructure) -> LagrangianFrames:
     if int(round(np.trace(p_re).real)) != 0:
         raise NotLagrangian("operator still has a kernel; lift it first")
     nn = K.n_plus
-    out = {}
+    units = []
     for label, proj in (("plus", p_up), ("minus", p_dn)):
         frame = numerics.range_frame(proj, nn)
         iso = numerics.norm(frame.conj().T @ K.apply(frame))
@@ -392,24 +405,18 @@ def lagrangian_frames(h_flat, K: KreinStructure) -> LagrangianFrames:
             raise NotLagrangian(f"range of P_{label} not isotropic ({iso:.3e})")
         a, b = frame[:nn, :], frame[nn:, :]
         u = (np.sqrt(2.0) * a) @ numerics.polar_unitary(np.sqrt(2.0) * b).conj().T
-        u = numerics.polar_unitary(u)
-        out[label] = (u, proj)
-    u_p, p_p = out["plus"]
-    u_m, p_m = out["minus"]
-    phi_p = np.vstack([u_p, np.eye(nn)]) / np.sqrt(2.0)
-    phi_m = np.vstack([u_m, np.eye(nn)]) / np.sqrt(2.0)
+        units.append(numerics.polar_unitary(u))
+    u_p, u_m = units
     cert = float(np.linalg.svd(u_m.conj().T @ u_p - np.eye(nn),
                                 compute_uv=False)[-1])
     if cert <= t.fredholm_cert:
         raise NotFredholmPair(
             f"u_-^* u_+ - 1 has smallest singular value {cert:.3e}")
-    rec_p = oblique_projection(phi_p, phi_m, K)
-    rec_m = oblique_projection(phi_m, phi_p, K)
-    err = max(numerics.norm(rec_p - p_p), numerics.norm(rec_m - p_m))
+    rec_p, rec_m = _pair_projections(u_p, u_m, K)
+    err = max(numerics.norm(rec_p - p_up), numerics.norm(rec_m - p_dn))
     if err > t.lagrangian:
         raise NotLagrangian(f"re-embedding residual {err:.3e}")
-    return LagrangianFrames(u_plus=u_p, u_minus=u_m, p_plus=p_p, p_minus=p_m,
-                            certificate=cert)
+    return LagrangianFrames(u_plus=u_p, u_minus=u_m, certificate=cert)
 
 
 # ------------------------------------------------------------ factorization
@@ -432,18 +439,14 @@ def factorize_unitary(v, cls: str, s=None, branch_point=None) -> np.ndarray:
         dev = numerics.norm(v.T - v)
         if dev > 1e-9:
             raise NotInClass(f"not symmetric (residual {dev:.3e})")
-        h = numerics.unitary_log(v, branch_point=branch_point)
-        h = (h + h.T) / 2.0
-        return numerics.unitary_exp(0.5 * h)
+        return _unitary_root(v, None, branch_point)
     if cls == "odd-symmetric":
         if s is None:
             s = standard_skew(v.shape[0])
         dev = numerics.norm(s.T @ v.T @ s - v)
         if dev > 1e-9:
             raise NotInClass(f"not odd-symmetric (residual {dev:.3e})")
-        h = numerics.unitary_log(v, branch_point=branch_point)
-        h = (h + s.T @ h.T @ s) / 2.0
-        return s @ numerics.unitary_exp(0.5 * h)
+        return _unitary_root(v, s, branch_point)
     raise ValueError(f"unknown class {cls!r}")
 
 
@@ -462,25 +465,8 @@ class StraightenResult:
     certificates: list[float]
     u_minus_of: object                 # callable t -> u_-(t)
 
-    def u_pair(self, t: float):
-        return self.u_plus, self.u_minus_of(t)
-
     def projections(self, t: float, K: KreinStructure):
-        up, um = self.u_pair(t)
-        nn = up.shape[0]
-        phi_p = np.vstack([up, np.eye(nn)]) / np.sqrt(2.0)
-        phi_m = np.vstack([um, np.eye(nn)]) / np.sqrt(2.0)
-        return (oblique_projection(phi_p, phi_m, K),
-                oblique_projection(phi_m, phi_p, K))
-
-    def hermitian_path(self, K: KreinStructure,
-                       R: RealStructure | None = None) -> OperatorPath:
-        def sampler(t):
-            p_p, p_m = self.projections(t, K)
-            return 1j * (p_p - p_m)
-
-        return OperatorPath(sampler=sampler, structure=K, kind="hermitian",
-                            real_structure=R, name="straighten")
+        return _pair_projections(self.u_plus, self.u_minus_of(t), K)
 
 
 def _class_residual(u, symmetry, s):
@@ -622,42 +608,36 @@ def retract_to_model(h_mat, K: KreinStructure,
             # global_signature checked J-membership; the real structure adds
             # its own residual
             _require_membership(h_mat, K, R)
-        seg_flat, flat_eigs = _flatten(h_mat, initial.partition, K, R)
+        seg_flat = _flatten(h_mat, initial.partition, K, R)
     except KreinLabError as exc:
         raise StageError("flatten", exc) from exc
     try:
-        lift = lift_kernel(seg_flat.end, K, R, eigs=flat_eigs)
+        lift = lift_kernel(seg_flat.end, K, R, eigs=seg_flat.path.sample(1.0)[1])
     except KreinLabError as exc:
         raise StageError("lift", exc) from exc
 
     try:
+        symmetry = _symmetry_option(kind)
+        s_arg = interleaved_skew(K.n_plus) if kind == (-1, 1) else None
         if lift.kernel_dim == 0:
-            frames = lagrangian_frames(lift.segment.end, K)
-            s_arg = None
-            if kind == (-1, 1):
-                s_arg = interleaved_skew(K.n_plus)
-            res = straighten(frames.u_plus, frames.u_minus,
-                             symmetry=_symmetry_option(kind), s=s_arg)
-            straight_path = res.hermitian_path(K, R)
-            p_p1, p_m1 = res.projections(1.0, K)
-            terminal = 1j * (p_p1 - p_m1)
-            u_plus = res.u_plus
-            a_block = u_plus.conj().T
-            sym_res = (None if kind is None else
-                       _class_residual(a_block, _symmetry_option(kind), s_arg))
+            block, K_blk, carry = lift.segment.end, K, None
         elif lift.kernel_dim == 2 and kind == (-1, -1):
-            (straight_path, terminal, u_plus, a_block, sym_res, p_p1, p_m1) = \
-                _straighten_with_kernel(lift, K, R)
+            block, K_blk, carry = _kernel_complement(lift.segment.end, K, R)
         else:
             raise NotLagrangian(
                 f"unexpected residual kernel of dimension {lift.kernel_dim}")
-    except StageError:
-        raise
+        frames = lagrangian_frames(block, K_blk)
+        res = straighten(frames.u_plus, frames.u_minus, symmetry=symmetry,
+                         s=s_arg)
     except KreinLabError as exc:
         raise StageError("straighten", exc) from exc
 
-    seg_straight = PathSegment(stage="straighten", path=straight_path,
-                               start=straight_path.matrix(0.0), end=terminal)
+    def sampler(tv):
+        p_p, p_m = res.projections(tv, K_blk)
+        b = 1j * (p_p - p_m)
+        return b if carry is None else carry[0] @ b @ carry[1]
+
+    seg_straight = _segment("straighten", sampler, K, R)
     segments = [seg_flat, lift.segment, seg_straight]
 
     chain_gap = max(
@@ -672,7 +652,7 @@ def retract_to_model(h_mat, K: KreinStructure,
         samples = 2 if seg.stage in AFFINE_STAGES else SEGMENT_SAMPLES
         worst_membership = max(worst_membership,
                                seg.path.verify_membership(n_samples=samples))
-    terminal_eigs = numerics.eigvals(terminal)
+    terminal, terminal_eigs = seg_straight.path.sample(1.0)
     spec_res = flat_spectrum_residual(terminal_eigs)
     if spec_res > t.terminal_spectrum:
         raise StageError("final", NotInvariant(
@@ -684,13 +664,15 @@ def retract_to_model(h_mat, K: KreinStructure,
     if sig_terminal != sig_initial:
         raise StageError("final", NotInvariant(
             f"Sig changed along the retraction: {sig_initial} -> {sig_terminal}"))
+    a_block = res.u_plus.conj().T
+    sym_res = (None if kind is None else
+               _class_residual(a_block, symmetry, s_arg))
     if sym_res is not None and sym_res > t.terminal_symmetry:
         raise StageError("final", NotInClass(
             f"terminal block class residual {sym_res:.3e}"))
     return RetractionTrace(
-        segments=segments, initial=h_mat.copy(), terminal=terminal,
-        p_plus=p_p1, p_minus=p_m1, u_plus=u_plus, terminal_block=a_block,
-        terminal_class=_TERMINAL_CLASS[kind],
+        segments=segments, terminal=terminal, u_plus=res.u_plus,
+        terminal_block=a_block, terminal_class=_TERMINAL_CLASS[kind],
         terminal_symmetry_residual=sym_res,
         terminal_spectrum_residual=spec_res,
         kernel_dim_after_lift=lift.kernel_dim,
@@ -699,18 +681,15 @@ def retract_to_model(h_mat, K: KreinStructure,
         membership_max_residual=worst_membership, chain_max_gap=chain_gap)
 
 
-def _straighten_with_kernel(lift: LiftResult, K: KreinStructure,
-                            R: RealStructure):
-    """Kind (-1,-1) with a forced (1,1)-kernel: straighten the block on
-    F = J E_0^perp carried by a structure-normalizing basis Theta.
+def _kernel_complement(h_lifted, K: KreinStructure, R: RealStructure):
+    """Kind (-1,-1) with a forced (1,1)-kernel: the block B = Theta^+ H Theta
+    on F = J E_0^perp, its Krein structure and the carriers (Theta, Theta^+).
 
     Theta satisfies Theta* J Theta = J_std and S conj(Theta) = Theta S_std,
-    so B = Theta^+ H Theta is a standard smaller member; the global path is
+    so B is a standard smaller member; a block path B(t) returns as
     Theta B(t) Theta^+ with Theta^+ = J_std Theta* J, which vanishes on the
     kernel and restricts to B(t) on F.
     """
-    h_lifted = lift.segment.end
-    n = K.dim
     psi0 = numerics.kernel_frame(h_lifted)
     eperp = numerics.kernel_frame(psi0.conj().T)
     phi0 = numerics.orthonormal_frame(K.apply(eperp))
@@ -723,27 +702,10 @@ def _straighten_with_kernel(lift: LiftResult, K: KreinStructure,
     norm_pair = normalize_krein_pair(j_f, s_f, -1, -1)
     theta = phi0 @ norm_pair.R
     K_blk = norm_pair.K
-    R_blk = norm_pair.structure
     theta_pinv = K_blk.J @ theta.conj().T @ K.J
     b0 = theta_pinv @ h_lifted @ theta
-    member = is_member(b0, R_blk, "hermitian")
+    member = is_member(b0, norm_pair.structure, "hermitian")
     if not member:
         raise FramePreparationFailed(
             f"block operator left the class (residual {member.residual:.3e})")
-    frames = lagrangian_frames(b0, K_blk)
-    res = straighten(frames.u_plus, frames.u_minus, symmetry="odd-symmetric",
-                     s=standard_skew(K_blk.n_plus))
-
-    def sampler(tv):
-        p_p, p_m = res.projections(tv, K_blk)
-        return theta @ (1j * (p_p - p_m)) @ theta_pinv
-
-    straight_path = OperatorPath(sampler=sampler, structure=K, kind="hermitian",
-                                 real_structure=R, name="straighten-block")
-    p_p1, p_m1 = res.projections(1.0, K_blk)
-    terminal = theta @ (1j * (p_p1 - p_m1)) @ theta_pinv
-    u_plus = res.u_plus
-    a_block = u_plus.conj().T
-    sym_res = _class_residual(a_block, "odd-symmetric", None)
-    return (straight_path, terminal, u_plus, a_block, sym_res,
-            theta @ p_p1 @ theta_pinv, theta @ p_m1 @ theta_pinv)
+    return b0, K_blk, (theta, theta_pinv)

@@ -161,14 +161,6 @@ def global_signature(a, K: KreinStructure, kind: str) -> InvariantReport:
     return invariant_report(part, K, member.residual)
 
 
-def _check_structure_kind(structure, expected: tuple[int, int], what: str):
-    if structure is None:
-        return
-    kind = structure.kind.as_tuple()
-    if kind != expected:
-        raise ValueError(f"{what} is defined for kind {expected}, got {kind}")
-
-
 def sig2_of(part: ClusterPartition) -> int:
     """Sig_2 of a region-tagged partition: half the on-circle (on-axis)
     algebraic multiplicity, mod 2."""
@@ -179,15 +171,13 @@ def sig2_of(part: ClusterPartition) -> int:
     return (m // 2) % 2
 
 
-def sig2(a, K: KreinStructure, kind: str, structure=None) -> int:
+def sig2(a, K: KreinStructure, kind: str) -> int:
     """Z_2 invariant for kind (-1,-1): half the on-circle (on-axis) algebraic
     multiplicity, mod 2.
 
-    An optional real ``structure`` is validated to be of kind (-1,-1).
     Raises :class:`OddDimension` when the multiplicity is odd, which signals
     a symmetry violation upstream (Kramers degeneracy forces evenness).
     """
-    _check_structure_kind(structure, (-1, -1), "Sig_2")
     require_member(a, K, kind)
     return sig2_of(spectral.spectral_partition(a, kind))
 
@@ -202,12 +192,8 @@ def sec_of(part: ClusterPartition, K: KreinStructure) -> int:
     return 0
 
 
-def sec(a, K: KreinStructure, structure=None) -> int:
-    """Secondary invariant for kind (1,1) unitaries: Sig(1, T) mod 2.
-
-    An optional real ``structure`` is validated to be of kind (1,1).
-    """
-    _check_structure_kind(structure, (1, 1), "Sec")
+def sec(a, K: KreinStructure) -> int:
+    """Secondary invariant for kind (1,1) unitaries: Sig(1, T) mod 2."""
     require_member(a, K, "unitary")
     return sec_of(spectral.spectral_partition(a, "unitary"), K)
 

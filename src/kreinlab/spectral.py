@@ -400,7 +400,7 @@ class SymmetryReport:
         return max(self.residuals, default=0.0)
 
 
-def check_projection_symmetry(a, K: KreinStructure, part: ClusterPartition,
+def check_projection_symmetry(K: KreinStructure, part: ClusterPartition,
                               kind: str) -> SymmetryReport:
     """Check P_cluster^* = J P_reflected J, each reflected cluster found by
     :meth:`ClusterPartition.reflection_of` for ``kind``.  Raises

@@ -101,8 +101,6 @@ def test_pick_zeta_avoids_spectrum():
     zeta = cayley.pick_zeta(lam)
     assert abs(abs(zeta) - 1) < 1e-12
     assert np.min(np.abs(lam - zeta)) > 0.5
-    zeta_r = cayley.pick_zeta(np.array([1.0 + 0j]), real_symmetric=True)
-    np.testing.assert_allclose(zeta_r, -1.0)
 
 
 def test_transport_j():

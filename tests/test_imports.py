@@ -24,9 +24,9 @@ README = SRC.parent / "README.md"
 # The public names of the package and the modules defining them.
 EXPORTS = {
     "config": ["DEFAULT", "ToleranceConfig"],
-    "krein": ["GeneralFormReduction", "KreinStructure", "MembershipResult",
-              "is_j_hermitian", "is_j_unitary", "make_standard",
-              "random_j_hermitian", "random_j_unitary", "reduce_general_form"],
+    "krein": ["KreinStructure", "MembershipResult", "is_j_hermitian",
+              "is_j_unitary", "make_standard", "random_j_hermitian",
+              "random_j_unitary"],
     "signature": ["InertiaPair", "InvariantReport", "build_index_example",
                   "global_signature", "inertia", "sec", "sig2"],
     "cayley": ["CayleyParams", "cayley_inv_op", "cayley_inv_scalar", "cayley_op",

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from kreinlab import krein, numerics
-from kreinlab.errors import DimensionMismatch, NotHermitian, SingularForm
+from kreinlab.errors import DimensionMismatch
 from helpers import multiset_match
 
 
@@ -21,41 +21,6 @@ def test_make_standard_examples():
     np.testing.assert_allclose(krein.make_standard(0, 3).J, -np.eye(3))
     with pytest.raises(ValueError):
         krein.make_standard(0, 0)
-
-
-def test_reduce_general_form_diagonal():
-    red = krein.reduce_general_form(np.diag([4.0, -9.0]))
-    assert (red.K.n_plus, red.K.n_minus) == (1, 1)
-    np.testing.assert_allclose(red.W, np.diag([2.0, 3.0]), atol=1e-12)
-    np.testing.assert_allclose(red.J_from_j, np.diag([1.0, -1.0]), atol=1e-12)
-
-
-def test_reduce_general_form_already_standard():
-    red = krein.reduce_general_form(np.diag([1.0, -1.0]))
-    np.testing.assert_allclose(red.W, np.eye(2), atol=1e-12)
-
-
-def test_reduce_general_form_conjugates_members():
-    rng = np.random.default_rng(0)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    j = (g + g.conj().T) / 2 + np.diag([3.0, 2.0, -2.0, -3.0])
-    red = krein.reduce_general_form(j)
-    # random j-unitary: exp(i a j) with a hermitian is j-unitary
-    a = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = (a + a.conj().T) / 2
-    a = a / numerics.norm(a)
-    u = numerics.matrix_exp(1j * a @ j)
-    assert numerics.norm(u.conj().T @ j @ u - j) <= 1e-8  # sanity
-    t_mat = red.W @ u @ red.W_inv
-    member = krein.is_j_unitary(t_mat, red.K)
-    assert member.ok and member.residual <= 1e-8
-
-
-def test_reduce_general_form_errors():
-    with pytest.raises(NotHermitian):
-        krein.reduce_general_form(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    with pytest.raises(SingularForm):
-        krein.reduce_general_form(np.diag([1.0, 0.0]))
 
 
 def test_is_j_unitary_examples():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from kreinlab import krein, numerics, realsym, signature
+from kreinlab import krein, numerics, realsym, signature, spectral
 from kreinlab.errors import (IncompatibleDimensions, MembershipError,
                              NormalizationFailed, SymmetryViolated)
 from tests.test_krein import finex_matrix
@@ -127,6 +127,30 @@ def test_kramers_negative_control():
     assert krein.is_j_unitary(t_mat, R.K).ok
     rep = realsym.kramers_check(t_mat, R, "unitary")
     assert not rep.ok
+
+
+def test_kramers_check_reads_eigenvalues_only(monkeypatch):
+    """The entries match the on-point clusters of the partition, and
+    kramers_check computes them without a partition or a projection."""
+    R = realsym.make_real_structure((-1, -1), 2, 2)
+    cases = [(np.eye(4, dtype=complex), "unitary")] + [
+        (realsym.random_member(R, op_kind, seed), op_kind)
+        for seed in range(3) for op_kind in ("unitary", "hermitian")]
+    want = [realsym.kramers_check(a, R, op_kind).entries for a, op_kind in cases]
+    assert want[0] == [{"eigenvalue": 1.0, "algebraic": 4, "geometric": 4}]
+    for (a, _), entries in zip(cases, want):
+        mult = {c.center: c.multiplicity
+                for c in spectral.spectral_partition(a).clusters}
+        for entry in entries:
+            assert mult[entry["eigenvalue"]] == entry["algebraic"]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("kramers_check computed a projection")
+
+    monkeypatch.setattr(spectral, "spectral_partition", forbidden)
+    monkeypatch.setattr(spectral, "riesz_projection", forbidden)
+    got = [realsym.kramers_check(a, R, op_kind).entries for a, op_kind in cases]
+    assert got == want
 
 
 def test_kramers_requires_eta_minus():

@@ -269,6 +269,27 @@ def test_retract_each_kind(kind):
         assert trace.kernel_inertia == (1, 1)
 
 
+@pytest.mark.parametrize("kind", (None, (-1, -1)), ids=("plain", "kernel"))
+def test_segment_endpoints_are_path_samples(kind):
+    """Segment endpoints are their path's samples, so the terminal is the
+    straightening path's one sample at t = 1 (kind (-1,-1) at m = 3 takes
+    the forced-kernel branch)."""
+    K = krein.make_standard(3, 3)
+    if kind is None:
+        R, h = None, krein.random_j_hermitian(K, 7)
+    else:
+        R = make_real_structure(kind, 3, 3)
+        h = random_member(R, "hermitian", 7)
+    trace = retraction.retract_to_model(h, K, R)
+    assert trace.kernel_dim_after_lift == (0 if kind is None else 2)
+    flat, lift, straight = trace.segments
+    for seg in (flat, lift):
+        assert seg.start is seg.path.matrix(0.0)
+        assert seg.end is seg.path.matrix(1.0)
+    assert trace.terminal is straight.path.matrix(1.0)
+    assert straight.start is straight.path.matrix(0.0)
+
+
 def test_retract_unbalanced_flatten_lift_only():
     # for N+ != N- the first two stages still apply: definite kernel of
     # dimension N+ + N- - 2 min, and the signature stays N+ - N-

@@ -191,16 +191,3 @@ def test_build_index_example_rank_deficient():
     assert numerics.norm(h + h.conj().T) <= 1e-12  # skew-adjoint
     sig = signature.global_signature(h, K, "hermitian").global_sig
     assert sig == (3 - rank) - (4 - rank) == -1
-
-
-def test_sig2_sec_validate_structure_kind():
-    from kreinlab.realsym import make_real_structure
-    R_wrong = make_real_structure((1, -1), 2, 2)
-    with pytest.raises(ValueError):
-        signature.sig2(np.eye(4, dtype=complex), R_wrong.K, "unitary",
-                       structure=R_wrong)
-    with pytest.raises(ValueError):
-        signature.sec(np.eye(4, dtype=complex), R_wrong.K, structure=R_wrong)
-    R_ok = make_real_structure((-1, -1), 2, 2)
-    assert signature.sig2(np.eye(4, dtype=complex), R_ok.K, "unitary",
-                          structure=R_ok) == 0

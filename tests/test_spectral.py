@@ -120,7 +120,7 @@ def test_projection_symmetry_hermitian_real_spectrum():
     h = krein.random_j_hermitian(K, 5)
     # force real spectrum by squaring trick is overkill; just use J itself
     part = spectral.spectral_partition(K.J)
-    report = spectral.check_projection_symmetry(K.J, K, part, "hermitian")
+    report = spectral.check_projection_symmetry(K, part, "hermitian")
     assert report.max_residual <= 1e-8
 
 
@@ -129,8 +129,7 @@ def test_projection_symmetry_negative_control():
     # 1/2 and report the honest residual ||diag(1,0) - J diag(0,1) J||
     K = krein.make_standard(1, 1)
     part = spectral.spectral_partition(np.diag([2.0, 0.5]))
-    report = spectral.check_projection_symmetry(np.diag([2.0, 0.5]), K, part,
-                                                "unitary")
+    report = spectral.check_projection_symmetry(K, part, "unitary")
     pair = dict(report.pairs)
     lam = [c.center for c in part.clusters]
     i2 = lam.index(max(lam, key=lambda z: z.real))
@@ -141,7 +140,7 @@ def test_projection_symmetry_negative_control():
 def test_projection_symmetry_identity_trivial():
     K = krein.make_standard(1, 1)
     part = spectral.spectral_partition(np.eye(2, dtype=complex))
-    report = spectral.check_projection_symmetry(np.eye(2), K, part, "unitary")
+    report = spectral.check_projection_symmetry(K, part, "unitary")
     assert report.max_residual <= 1e-10
 
 
@@ -150,7 +149,7 @@ def test_projection_symmetry_unmatched():
     a = np.diag([2.0, 0.4])  # 1/2 missing; not a member, reflection absent
     part = spectral.spectral_partition(a)
     with pytest.raises(UnmatchedReflection):
-        spectral.check_projection_symmetry(a, K, part, "unitary")
+        spectral.check_projection_symmetry(K, part, "unitary")
 
 
 def test_fredholm_corrector_zero_operator():
