@@ -27,10 +27,9 @@ from .errors import (AmbiguousClassification, DegenerateForm,
                      MembershipError, OddDimension, InvariantConstraintViolated,
                      StageError, StepUnderflow, UnknownScenario,
                      UnresolvedEvent)
-from .krein import (is_j_hermitian, is_j_unitary, make_standard,
-                    random_j_hermitian, random_j_unitary)
-from .realsym import classify_group, full_invariant_report, is_member, \
-    make_real_structure, random_member
+from .krein import make_standard, random_j_hermitian, random_j_unitary
+from .realsym import _class_membership, classify_group, \
+    full_invariant_report, make_real_structure, random_member
 
 GEN_CLASSES = {
     "O": (1, 1),
@@ -60,17 +59,16 @@ def _cmd_gen(args) -> int:
                 a = np.zeros((K.dim, K.dim), dtype=complex)
             else:
                 a = random_j_hermitian(K, args.seed)
-            member = is_j_hermitian(a, K)
         else:
             a = random_j_unitary(K, args.seed)
-            member = is_j_unitary(a, K)
         group = classify_group(K).name if cls == "U" else "hermitian"
     else:
         R = make_real_structure(kind, args.n_plus, args.n_minus)
         K = R.K
         a = random_member(R, "unitary", args.seed)
-        member = is_member(a, R, "unitary")
         group = classify_group(R).name
+    member = _class_membership(a, K, R,
+                               "hermitian" if cls == "hermitian" else "unitary")
     fileio.write_matrix_file(args.out, a, K, R)
     print(f"wrote {args.out}: {group}, dim {K.dim}, "
           f"membership residual {member.residual:.3e}")
@@ -107,7 +105,8 @@ def _cmd_track(args) -> int:
         path = fileio.read_path_file(args.scenario)
     else:
         path = scenario_library(args.scenario, _parse_params(args.param))
-    trajs = track(path, initial_grid=args.grid)
+    trajs = track(path, initial_grid=args.grid,
+                  record_inertia=args.out_csv is not None)
     events = detect_events(trajs, path)
     if args.out_csv:
         with open(args.out_csv, "w", newline="") as fh:

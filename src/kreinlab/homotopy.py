@@ -16,6 +16,10 @@ its eigenvalues once per parameter value, and tracking, event bisection and
 the cluster-inertia readings all share that sample, since eigenvalue
 branches are functions of the parameter alone.  Membership checks read the
 same matrix through :meth:`OperatorPath.matrix`.
+
+Per-sample Krein inertia is computed only on request (``record_inertia``,
+for the CSV export); events read inertia at their collision sites alone,
+and a site's inertia is read on the same sample as its members.
 """
 
 from __future__ import annotations
@@ -31,8 +35,8 @@ from . import config, numerics, spectral
 from .cayley import CayleyParams, cayley_op
 from .errors import (AmbiguousClassification, KreinLabError, MembershipError,
                      StepUnderflow, UnknownScenario, UnresolvedEvent)
-from .krein import KreinStructure, is_j_hermitian, is_j_unitary, make_standard
-from .realsym import RealStructure, is_member, make_real_structure
+from .krein import KreinStructure, make_standard
+from .realsym import RealStructure, _class_membership, make_real_structure
 from .signature import InertiaPair, form_inertia
 
 EVENT_KINDS = ("KC", "QKC", "TB", "MTB", "PD", "MPD", "PASS_THROUGH")
@@ -81,12 +85,8 @@ class OperatorPath:
         return self.t_end - self.t_start
 
     def membership_residual(self, t: float) -> float:
-        a = self.matrix(t)
-        if self.real_structure is not None:
-            return is_member(a, self.real_structure, self.kind).residual
-        if self.kind == "unitary":
-            return is_j_unitary(a, self.structure).residual
-        return is_j_hermitian(a, self.structure).residual
+        return _class_membership(self.matrix(t), self.structure,
+                                 self.real_structure, self.kind).residual
 
     def verify_membership(self, n_samples: int = 17) -> float:
         """Max membership residual over a uniform sample grid; raises
@@ -177,9 +177,8 @@ class BifurcationEvent:
 
 
 def _region_tag(path: OperatorPath, lam: complex) -> str | None:
-    kind = "hermitian" if path.kind == "hermitian" else "unitary"
     try:
-        return spectral._region_of(lam, kind, config.DEFAULT.eps_region,
+        return spectral._region_of(lam, path.kind, config.DEFAULT.eps_region,
                                    config.DEFAULT.ambiguous_factor)
     except AmbiguousClassification:
         return None
@@ -199,9 +198,8 @@ def _regions(path: OperatorPath, t: float):
     return t, eigs, [_region_tag(path, l) for l in eigs]
 
 
-def _on_count(path: OperatorPath, t: float) -> int:
-    _, _, tags = _regions(path, t)
-    return sum(1 for g in tags if g in spectral.ON_REGIONS)
+def _on_count(reading) -> int:
+    return sum(1 for g in reading[2] if g in spectral.ON_REGIONS)
 
 
 def _cluster_inertia(path: OperatorPath, t: float, members) -> InertiaPair | None:
@@ -217,15 +215,15 @@ def _cluster_inertia(path: OperatorPath, t: float, members) -> InertiaPair | Non
 
 
 def track(path: OperatorPath, initial_grid: int = 9,
-          record_inertia: bool = True) -> list[Trajectory]:
+          record_inertia: bool = False) -> list[Trajectory]:
     """Track eigenvalue trajectories along an operator path.
 
     Eigenvalues are matched between consecutive parameter values by optimal
     assignment; steps are bisected whenever the assignment moves an
     eigenvalue more than ``match_fraction`` of its distance to the nearest
-    other eigenvalue, down to the minimal step.  Per-sample Krein inertia is
-    recorded for on-circle/on-axis eigenvalues unless ``record_inertia`` is
-    switched off (cheaper, used by large random suites).
+    other eigenvalue, down to the minimal step.  With ``record_inertia``,
+    each sample of an on-circle/on-axis eigenvalue also carries the Krein
+    inertia of its cluster (read only by :func:`trajectories_to_csv`).
     """
     if initial_grid < 2:
         raise ValueError("initial_grid must be at least 2")
@@ -301,12 +299,15 @@ def _classify_event(path: OperatorPath, lam0: complex, multiplicity: int,
     return "QKC"
 
 
-def _collision_cluster(path: OperatorPath, t: float, around, radius: float):
-    """On-region eigenvalues within radius of the collision site."""
-    tt, eigs, tags = _regions(path, t)
+def _site(path: OperatorPath, reading, around, radius: float):
+    """On-region eigenvalues of a ``_regions`` reading within radius of a
+    collision site, and their cluster inertia at the reading's parameter
+    (``None`` without members)."""
+    tt, eigs, tags = reading
     members = [l for l, g in zip(eigs, tags)
                if g in spectral.ON_REGIONS and abs(l - around) <= radius]
-    return tt, members
+    nu = _cluster_inertia(path, tt, np.array(members)) if members else None
+    return members, nu
 
 
 def detect_events(trajectories: list[Trajectory],
@@ -327,34 +328,33 @@ def detect_events(trajectories: list[Trajectory],
     width_target = max(1e-8 * max(1.0, abs(path.span)), 1e-12)
     sp_tol = max(config.DEFAULT.spectrum_match, 100.0 * width_target)
 
-    on_counts = []
-    for k in range(len(times)):
-        on_counts.append(sum(1 for tr in trajectories
-                             if tr.samples[k].region in spectral.ON_REGIONS))
+    on = np.array([[s.region in spectral.ON_REGIONS for s in tr.samples]
+                   for tr in trajectories])
+    on_counts = on.sum(axis=0)
 
     # --- membership-change events (KC family)
     for k in range(len(times) - 1):
         if on_counts[k] == on_counts[k + 1]:
             continue
         lo, hi = float(times[k]), float(times[k + 1])
-        c_lo = _on_count(path, lo)
-        c_hi = _on_count(path, hi)
+        at_lo, at_hi = _regions(path, lo), _regions(path, hi)
+        c_lo, c_hi = _on_count(at_lo), _on_count(at_hi)
         if c_lo == c_hi:
             continue
         while hi - lo > width_target:
             mid = (lo + hi) / 2.0
-            c_mid = _on_count(path, mid)
-            if c_mid == c_lo:
-                lo = mid
+            at_mid = _regions(path, mid)
+            if _on_count(at_mid) == c_lo:
+                lo, at_lo = mid, at_mid
             else:
-                hi = mid
+                hi, at_hi = mid, at_mid
         direction = "departure" if c_hi < c_lo else "arrival"
-        t_on = lo if direction == "departure" else hi
-        t_off = hi if direction == "departure" else lo
+        at_on, at_off = ((at_lo, at_hi) if direction == "departure"
+                         else (at_hi, at_lo))
         # moving eigenvalues: matched across the bracket, those whose
         # on-region membership changes
-        tt_on, eigs_on, tags_on = _regions(path, t_on)
-        tt_off, eigs_off, tags_off = _regions(path, t_off)
+        _, eigs_on, tags_on = at_on
+        _, eigs_off, tags_off = at_off
         cost = np.abs(eigs_on[:, None] - eigs_off[None, :])
         rows, cols = numerics.optimal_assignment(cost)
         moving_pos = []
@@ -375,14 +375,10 @@ def detect_events(trajectories: list[Trajectory],
             spread = max((abs(moving_pos[g] - lam0) for g in group), default=0.0)
             radius = max(10.0 * spread, 1e3 * width_target * rho,
                          spectral.default_delta(eigs_on) * 10)
-            tt_on2, members = _collision_cluster(path, t_on, lam0, radius)
+            members, nu_on = _site(path, at_on, lam0, radius)
             multiplicity = len(members)
             lam0 = complex(np.mean(members)) if members else lam0
-            nu_on = (_cluster_inertia(path, tt_on2, np.array(members))
-                     if members else None)
-            _, members_off = _collision_cluster(path, t_off, lam0, radius)
-            nu_off = (_cluster_inertia(path, t_off, np.array(members_off))
-                      if members_off else None)
+            _, nu_off = _site(path, at_off, lam0, radius)
             if direction == "departure":
                 nu_before, nu_after = nu_on, nu_off
             else:
@@ -396,7 +392,7 @@ def detect_events(trajectories: list[Trajectory],
 
     # --- on-region collisions without departure (PASS_THROUGH)
     span = max(1.0, abs(path.span))
-    for cand in _detect_pass_through(trajectories, path, rho):
+    for cand in _detect_pass_through(trajectories, on, path, rho):
         near_event = any(
             abs(cand.t0 - e.t0) <= max(10.0 * (e.bracket[1] - e.bracket[0]),
                                        1e-3 * span)
@@ -408,11 +404,9 @@ def detect_events(trajectories: list[Trajectory],
     return events
 
 
-def _detect_pass_through(trajectories, path: OperatorPath,
+def _detect_pass_through(trajectories, on, path: OperatorPath,
                          rho) -> list[BifurcationEvent]:
     events = []
-    if not trajectories:
-        return events
     times = trajectories[0].times()
     values = [tr.values() for tr in trajectories]
     n = len(trajectories)
@@ -421,13 +415,10 @@ def _detect_pass_through(trajectories, path: OperatorPath,
                      1e-9 * rho)
     for i in range(n):
         for j in range(i + 1, n):
-            si, sj = trajectories[i].samples, trajectories[j].samples
             d = np.abs(values[i] - values[j])
-            on = np.array([
-                a.region in spectral.ON_REGIONS and b.region in spectral.ON_REGIONS
-                for a, b in zip(si, sj)])
+            both_on = on[i] & on[j]
             for k in range(len(times)):
-                if not on[k] or d[k] > thresh_scan:
+                if not both_on[k] or d[k] > thresh_scan:
                     continue
                 is_min = (k == 0 or d[k] <= d[k - 1]) and \
                          (k == len(times) - 1 or d[k] <= d[k + 1])
@@ -439,7 +430,8 @@ def _detect_pass_through(trajectories, path: OperatorPath,
                                                     values[j], lo, hi)
                 if d_min > thresh_hit:
                     continue
-                _, eigs_c, tags_c = _regions(path, t_min)
+                reading = _regions(path, t_min)
+                _, eigs_c, tags_c = reading
                 pos = _interp(t_min, times, values[i])
                 close = int(np.argmin(np.abs(eigs_c - pos)))
                 lam0 = complex(eigs_c[close])
@@ -450,9 +442,7 @@ def _detect_pass_through(trajectories, path: OperatorPath,
                        and e.event_kind == "PASS_THROUGH" for e in events):
                     continue
                 radius = max(10 * d_min, 1e-6 * rho)
-                _, members = _collision_cluster(path, t_min, lam0, radius)
-                nu = (_cluster_inertia(path, t_min, np.array(members))
-                      if members else None)
+                members, nu = _site(path, reading, lam0, radius)
                 mult = len(members) if nu is not None else 2
                 events.append(BifurcationEvent(
                     event_kind="PASS_THROUGH", t0=float(t_min),

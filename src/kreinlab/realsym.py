@@ -23,7 +23,7 @@ from . import config, numerics, signature, spectral
 from .errors import (IncompatibleDimensions, InvariantConstraintViolated,
                      MembershipError, NormalizationFailed, SymmetryViolated)
 from .krein import KreinStructure, is_j_hermitian, is_j_unitary, make_standard, \
-    random_j_hermitian
+    random_j_hermitian, require_member
 from .signature import InvariantReport
 
 
@@ -135,6 +135,28 @@ def is_member(a, R: RealStructure, kind: str):
                             j_residual=base.residual)
 
 
+def _class_membership(a, K: KreinStructure, R: RealStructure | None,
+                      kind: str):
+    """Membership of ``a`` in its class: J-unitary or J-hermitian (``kind``)
+    when ``R`` is None, else in U(K,J,S) or H(K,J,S)."""
+    if R is not None:
+        return is_member(a, R, kind)
+    return is_j_unitary(a, K) if kind == "unitary" else is_j_hermitian(a, K)
+
+
+def _require_class_member(a, K: KreinStructure, R: RealStructure | None,
+                          kind: str):
+    """:func:`_class_membership` that raises :class:`MembershipError` with
+    the residual when the check fails."""
+    if R is None:
+        return require_member(a, K, kind)
+    member = is_member(a, R, kind)
+    if not member:
+        raise MembershipError("operator is not a member of the symmetry class",
+                              residual=member.residual)
+    return member
+
+
 @dataclass(frozen=True)
 class GroupInfo:
     name: str
@@ -191,10 +213,7 @@ def check_spectral_symmetries(a, R: RealStructure, kind: str) -> RealSymmetryRep
     projections satisfy S* conj(P_D) S = P_{D'} with D' the conjugate
     (unitary) or negated-conjugate (hermitian) cluster.
     """
-    member = is_member(a, R, kind)
-    if not member:
-        raise MembershipError("operator is not a member of the symmetry class",
-                              residual=member.residual)
+    _require_class_member(a, R.K, R, kind)
     eigs = numerics.eigvals(a)
     worst = 0.0
     for lam in eigs:
@@ -294,10 +313,7 @@ def full_invariant_report(a, R: RealStructure | None, kind: str,
         rep = signature.global_signature(a, K, kind)
         rep.group = classify_group(K).name
         return rep
-    member = is_member(a, R, kind)
-    if not member:
-        raise MembershipError("operator is not a member of the symmetry class",
-                              residual=member.residual)
+    member = _require_class_member(a, R.K, R, kind)
     part = spectral.spectral_partition(a, kind)
     rep = signature.invariant_report(part, R.K, member.j_residual)
     rep.group = classify_group(R).name

@@ -45,12 +45,12 @@ import numpy as np
 
 from . import config, numerics, signature, spectral
 from .errors import (DegenerateSubspace, FramePreparationFailed,
-                     IncompatibleDimensions, KreinLabError, MembershipError,
-                     NotFredholmPair, NotGapped, NotInClass, NotInvariant,
-                     NotLagrangian, PathBlocked, StageError)
+                     IncompatibleDimensions, KreinLabError, NotFredholmPair,
+                     NotGapped, NotInClass, NotInvariant, NotLagrangian,
+                     PathBlocked, StageError)
 from .homotopy import OperatorPath
 from .krein import KreinStructure, require_member
-from .realsym import (RealStructure, _unitary_root,
+from .realsym import (RealStructure, _require_class_member, _unitary_root,
                       antisymmetric_unitary_factor, conj, interleaved_skew,
                       is_member, normalize_krein_pair, standard_skew,
                       symmetric_unitary_sqrt)
@@ -123,16 +123,6 @@ class RetractionTrace:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
-def _require_membership(h_mat, K, R):
-    if R is None:
-        return require_member(h_mat, K, "hermitian")
-    member = is_member(h_mat, R, "hermitian")
-    if not member:
-        raise MembershipError("operator is not in the required class",
-                              residual=member.residual)
-    return member
-
-
 def _segment(stage, sampler, K, R) -> PathSegment:
     path = OperatorPath(sampler=sampler, structure=K, kind="hermitian",
                         real_structure=R, name=stage)
@@ -170,7 +160,7 @@ def spectral_flatten(h_mat, K: KreinStructure,
     H_t = (1-t) H + i t (P_+ - P_-)."""
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
-    _require_membership(h_mat, K, R)
+    _require_class_member(h_mat, K, R, "hermitian")
     return _flatten(h_mat, spectral.spectral_partition(h_mat, "hermitian"),
                     K, R)
 
@@ -254,7 +244,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     t = config.DEFAULT
     h_flat = numerics.as_matrix(h_flat, square=True, name="H")
     K.check_dim(h_flat)
-    _require_membership(h_flat, K, R)
+    _require_class_member(h_flat, K, R, "hermitian")
     if eigs is None:
         eigs = numerics.eigvals(h_flat)
     res_flat = flat_spectrum_residual(eigs)
@@ -607,7 +597,7 @@ def retract_to_model(h_mat, K: KreinStructure,
         if R is not None:
             # global_signature checked J-membership; the real structure adds
             # its own residual
-            _require_membership(h_mat, K, R)
+            _require_class_member(h_mat, K, R, "hermitian")
         seg_flat = _flatten(h_mat, initial.partition, K, R)
     except KreinLabError as exc:
         raise StageError("flatten", exc) from exc
@@ -657,7 +647,7 @@ def retract_to_model(h_mat, K: KreinStructure,
     if spec_res > t.terminal_spectrum:
         raise StageError("final", NotInvariant(
             f"terminal spectrum off {{-i,0,i}} by {spec_res:.3e}"))
-    member = _require_membership(terminal, K, None)
+    member = require_member(terminal, K, "hermitian")
     sig_terminal = signature.invariant_report(
         spectral.flat_partition(terminal, eigs=terminal_eigs), K,
         member.residual).global_sig

@@ -46,15 +46,11 @@ def _result(suite, n, seed, failures, residuals, extra=None):
     return out
 
 
-def _random_dims(rng, max_total, min_total=2, require=None):
+def _random_dims(rng, max_total, require=None):
     while True:
-        total = int(rng.integers(min_total, max_total + 1))
+        total = int(rng.integers(2, max_total + 1))
         n_plus = int(rng.integers(0, total + 1))
         n_minus = total - n_plus
-        if n_plus == 0 and n_minus == 0:
-            continue
-        if require == "balanced" and n_plus != n_minus:
-            continue
         if require == "even" and (n_plus % 2 or n_minus % 2 or
                                   n_plus == 0 or n_minus == 0):
             continue
@@ -195,7 +191,7 @@ def suite_taxonomy(n: int = 500, seed: int = 0) -> dict:
         for k in range(n):
             path = _random_member_path(R, rng)
             try:
-                trajs = track(path, initial_grid=7, record_inertia=False)
+                trajs = track(path, initial_grid=7)
                 events = detect_events(trajs, path)
             except KreinLabError as exc:
                 failures.append(f"kind {kind} path {k}: {exc}")

@@ -23,7 +23,7 @@ def rotation_pair_path():
 
 def test_track_rotation_pair_inertia():
     path = rotation_pair_path()
-    trajs = track(path, initial_grid=9)
+    trajs = track(path, initial_grid=9, record_inertia=True)
     assert len(trajs) == 2
     for tr in trajs:
         for s in tr.samples:
@@ -40,7 +40,7 @@ def test_track_rotation_pair_inertia():
 
 def test_track_finex_constant():
     path = scenario_library("finex", {"sigma": 1, "sigma_prime": 1})
-    trajs = track(path, initial_grid=7)
+    trajs = track(path, initial_grid=7, record_inertia=True)
     for tr in trajs:
         vals = tr.values()
         assert np.allclose(vals, vals[0], atol=1e-9)
@@ -174,13 +174,16 @@ def test_step_underflow_on_discontinuous_path():
 
 def test_csv_export_columns():
     path = scenario_library("finex")
-    trajs = track(path, initial_grid=3)
+    trajs = track(path, initial_grid=3, record_inertia=True)
     text = trajectories_to_csv(trajs)
     lines = text.strip().splitlines()
     assert lines[0] == "t,track_id,re,im,nu_plus,nu_minus,region"
     assert len(lines) == 1 + 2 * 3
     row = lines[1].split(",")
     assert row[6] == "unit-circle"
+    for line in lines[1:]:
+        row = line.split(",")
+        assert row[6] == "unit-circle" and row[4] != "" and row[5] != ""
 
 
 def test_from_samples_interpolation_and_membership():
@@ -230,7 +233,59 @@ def test_track_programming_error_in_inertia_propagates(monkeypatch):
 
     monkeypatch.setattr(homotopy, "form_inertia", broken)
     with pytest.raises(TypeError, match="injected"):
-        track(rotation_pair_path(), initial_grid=9)
+        track(rotation_pair_path(), initial_grid=9, record_inertia=True)
+
+
+def count_cluster_inertia(monkeypatch):
+    """Parameters of every ``_cluster_inertia`` call, in call order."""
+    from kreinlab import homotopy
+
+    ts = []
+    raw = homotopy._cluster_inertia
+
+    def counted(path, t, members):
+        ts.append(float(t))
+        return raw(path, t, members)
+
+    monkeypatch.setattr(homotopy, "_cluster_inertia", counted)
+    return ts
+
+
+def test_cli_track_reads_inertia_only_at_event_sites(monkeypatch, capsys):
+    from kreinlab import cli
+
+    path = scenario_library("mtb")
+    trajs = track(path, initial_grid=33)
+    ts = count_cluster_inertia(monkeypatch)
+    detect_events(trajs, path)
+    at_events = len(ts)
+    assert at_events > 0
+    ts.clear()
+    assert cli.main(["track", "mtb"]) == 0
+    assert len(ts) == at_events
+
+
+def test_site_inertia_read_at_the_reading_parameter(monkeypatch):
+    # readings shifted off the requested parameter, as after a jittered
+    # retry of an ambiguous region tag: a site's inertia must be read on
+    # the sample its members came from
+    from kreinlab import homotopy
+
+    path = rotation_pair_path()
+    trajs = track(path, initial_grid=9)
+    raw = homotopy._regions
+    returned = set()
+
+    def shifted(path, t):
+        reading = raw(path, t + 1e-9 * path.span)
+        returned.add(reading[0])
+        return reading
+
+    monkeypatch.setattr(homotopy, "_regions", shifted)
+    ts = count_cluster_inertia(monkeypatch)
+    events = detect_events(trajs, path)
+    assert [e.event_kind for e in events].count("PASS_THROUGH") == 2
+    assert ts and all(t in returned for t in ts)
 
 
 @pytest.mark.parametrize("name", ["finex", "kc2x2", "qkc", "tb", "mtb",

@@ -151,7 +151,7 @@ def test_riesz_node_count_matches_loop(riesz_calls, d_out, nodes):
 @pytest.mark.parametrize("scenario", ["mtb", "mpd"])
 def test_track_evaluates_each_node_once(riesz_calls, scenario):
     path = homotopy.scenario_library(scenario)
-    homotopy.detect_events(homotopy.track(path), path)
+    homotopy.detect_events(homotopy.track(path, record_inertia=True), path)
     tol = config.DEFAULT
     assert all(c["resolvents"] == c["nodes"] for c in riesz_calls)
     assert {c["nodes"] for c in riesz_calls} <= {64, 128, 256, 512, 1024}
