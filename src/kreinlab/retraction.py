@@ -18,14 +18,15 @@ lower-left block in the J-grading is the terminal Fredholm block A = u*,
 whose symmetry class is forced by the kind: real for (1,1), anti-symmetric
 for (-1,-1), quaternionic for (-1,1), symmetric for (1,-1).
 
-Only the input H is partitioned by contour quadrature.  The flattened,
-lifted and terminal operators are flat, so their projections are the
-Lagrange interpolants of :func:`spectral.flat_partition`, which reuses the
-eigenvalues that certified each of them flat.  A segment's endpoints are its
-path's own samples at t = 0 and t = 1, so the terminal is the straightening
-path sampled once at t = 1.  Flatten and lift are affine in t, so their
-membership is certified at the two endpoints; the straightening path is
-sampled.
+Only the input H is partitioned by contour quadrature.  The flattened
+operator D = i(P_+ - P_-) carries H's projections and the lifted one D's,
+moved by the lift's exactly flat V; each passes the checks of
+:func:`spectral.flat_partition`.  Only the terminal, whose projections are
+orthogonal, takes Lagrange interpolants, for its independent Sig check.
+A segment's endpoints are its path's own samples at t = 0 and t = 1, so
+the terminal is the straightening path sampled once at t = 1.  Flatten and
+lift are affine in t, so their membership is certified at the two
+endpoints; the straightening path is sampled.
 
 One straightening tail serves every case: frames, :func:`straighten` and
 the path.  Without residual kernel it straightens the lifted operator
@@ -64,10 +65,12 @@ AFFINE_STAGES = ("flatten", "lift")
 
 @dataclass
 class PathSegment:
-    """A retraction stage; its endpoints are the samples of its path."""
+    """A retraction stage; its endpoints are the samples of its path, and
+    ``projections`` the (P_+, P_0, P_-) its end was built from, if any."""
 
     stage: str
     path: OperatorPath
+    projections: tuple | None = None
 
     @property
     def start(self) -> np.ndarray:
@@ -123,29 +126,23 @@ class RetractionTrace:
         return json.dumps(self.to_dict(), sort_keys=True, **kw)
 
 
-def _segment(stage, sampler, K, R) -> PathSegment:
+def _segment(stage, sampler, K, R, projections=None) -> PathSegment:
     path = OperatorPath(sampler=sampler, structure=K, kind="hermitian",
                         real_structure=R, name=stage)
-    return PathSegment(stage=stage, path=path)
+    return PathSegment(stage=stage, path=path, projections=projections)
 
 
 # ------------------------------------------------------------------ flatten
 
 def _halfplane_projections(part):
-    """Sums of the Riesz projections of a hermitian-tagged partition over
-    the upper half-plane, the lower half-plane and the real axis."""
-    n = part.dim
-    p_up = np.zeros((n, n), complex)
-    p_dn = np.zeros((n, n), complex)
-    p_re = np.zeros((n, n), complex)
+    """Sums (P_+, P_0, P_-) of the Riesz projections of a hermitian-tagged
+    partition over the upper half-plane, the real axis and the lower
+    half-plane."""
+    sums = {region: np.zeros((part.dim, part.dim), complex)
+            for region in ("upper-half", "real-axis", "lower-half")}
     for c in part.clusters:
-        if c.region == "upper-half":
-            p_up += c.projection
-        elif c.region == "lower-half":
-            p_dn += c.projection
-        else:
-            p_re += c.projection
-    return p_up, p_dn, p_re
+        sums[c.region] += c.projection
+    return tuple(sums.values())
 
 
 def flat_spectrum_residual(eigs) -> float:
@@ -166,15 +163,16 @@ def spectral_flatten(h_mat, K: KreinStructure,
 
 
 def _flatten(h_mat, part, K, R) -> PathSegment:
-    """The flatten segment of a member H from its hermitian-tagged partition;
-    its path's sample at t = 1 holds the eigenvalues of the endpoint."""
-    p_up, p_dn, _ = _halfplane_projections(part)
-    d_op = 1j * (p_up - p_dn)
+    """The flatten segment of a member H from its hermitian-tagged partition,
+    carrying H's projections; its path's sample at t = 1 holds the
+    eigenvalues of the endpoint."""
+    projections = _halfplane_projections(part)
+    d_op = 1j * (projections[0] - projections[2])
 
     def sampler(s):
         return (1.0 - s) * h_mat + s * d_op
 
-    seg = _segment("flatten", sampler, K, R)
+    seg = _segment("flatten", sampler, K, R, projections)
     res = flat_spectrum_residual(seg.path.sample(1.0)[1])
     if res > config.DEFAULT.terminal_spectrum:
         raise FramePreparationFailed(
@@ -230,35 +228,30 @@ class LiftResult:
     kernel_inertia: tuple[int, int]
 
 
-def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
-                eigs=None) -> LiftResult:
-    """Lift the kernel degeneracy of a flat operator by a finite-rank,
-    class-compatible perturbation H_t = H + t Psi n V n^{-1} Psi* P_0;
-    ``eigs`` are the eigenvalues of ``h_flat`` when the caller has them.
+def lift_kernel(flat_segment: PathSegment, K: KreinStructure,
+                R: RealStructure | None = None) -> LiftResult:
+    """Lift the kernel degeneracy of the flat end D of ``flat_segment`` by a
+    finite-rank, class-compatible perturbation H_t = D + t Psi n V n^{-1}
+    Psi* P_0.
 
     The kernel frame Psi is prepared so that the restricted form Psi* J Psi
     is diagonal and the real symmetry acts in normal form on the frame
     coordinates; V then pairs opposite-inertia kernel directions and pushes
-    them to +- i t.
+    them to +- i t.  V is exactly flat, so the lifted end's projections are
+    D's plus (Psi n) Q(V) (n^{-1} Psi* P_0), Q(V) the interpolants
+    -(V^2 +- iV)/2 of P_+- and 1 + V^2, which replaces P_0.
     """
     t = config.DEFAULT
-    h_flat = numerics.as_matrix(h_flat, square=True, name="H")
-    K.check_dim(h_flat)
+    h_flat, eigs = flat_segment.path.sample(1.0)
     _require_class_member(h_flat, K, R, "hermitian")
-    if eigs is None:
-        eigs = numerics.eigvals(h_flat)
-    res_flat = flat_spectrum_residual(eigs)
-    if res_flat > t.terminal_spectrum:
-        raise FramePreparationFailed(
-            f"lift requires spectrum in {{-i,0,i}}, off by {res_flat:.3e}")
-    p_up, p_dn, p_re = _halfplane_projections(
-        spectral.flat_partition(h_flat, eigs=eigs))
-    mult = int(round(np.trace(p_re).real))
+    p_up, p_re, p_dn = flat = flat_segment.projections
+    mult = spectral._flat_partition(h_flat, eigs, flat).total_multiplicity(
+        "real-axis")
     if mult == 0:
         def sampler(s):
             return h_flat
 
-        return LiftResult(segment=_segment("lift", sampler, K, R),
+        return LiftResult(segment=_segment("lift", sampler, K, R, flat),
                           kernel_dim=0, kernel_inertia=(0, 0))
 
     psi0 = numerics.range_frame(p_re, mult)
@@ -295,7 +288,9 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     # flat operator (range E_0, kernel J E_0^perp)
     j_new = psi.conj().T @ K.apply(psi)
     p0 = psi @ np.linalg.solve(j_new, psi.conj().T @ K.J)
-    pert = (psi * n_psi[None, :]) @ v_mat @ (np.diag(1.0 / n_psi) @ psi.conj().T @ p0)
+    left = psi * n_psi[None, :]
+    right = np.diag(1.0 / n_psi) @ psi.conj().T @ p0
+    pert = left @ v_mat @ right
 
     # membership of the perturbation direction (affine path: endpoint checks
     # certify every t)
@@ -312,7 +307,11 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     def sampler(s):
         return h_flat + s * pert
 
-    seg = _segment("lift", sampler, K, R)
+    v2 = v_mat @ v_mat
+    lifted = (p_up + left @ (-(v2 + 1j * v_mat) / 2.0) @ right,
+              left @ (np.eye(mult) + v2) @ right,
+              p_dn + left @ (-(v2 - 1j * v_mat) / 2.0) @ right)
+    seg = _segment("lift", sampler, K, R, lifted)
     kernel = numerics.kernel_frame(seg.end)
     k_dim = kernel.shape[1]
     if k_dim:
@@ -321,6 +320,7 @@ def lift_kernel(h_flat, K: KreinStructure, R: RealStructure | None = None,
     else:
         k_inertia = (0, 0)
     _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia)
+    spectral._flat_partition(seg.end, seg.path.sample(1.0)[1], lifted)
     return LiftResult(segment=seg, kernel_dim=k_dim, kernel_inertia=k_inertia)
 
 
@@ -368,7 +368,7 @@ class LagrangianFrames:
     certificate: float
 
 
-def lagrangian_frames(h_flat, K: KreinStructure) -> LagrangianFrames:
+def lagrangian_frames(p_plus, p_minus, K: KreinStructure) -> LagrangianFrames:
     """Extract the unitaries parametrizing the Lagrangian ranges of P_+-.
 
     Requires N+ = N- and a trivial kernel.  A Lagrangian frame can be
@@ -381,14 +381,9 @@ def lagrangian_frames(h_flat, K: KreinStructure) -> LagrangianFrames:
         raise IncompatibleDimensions(
             f"Lagrangian parametrization needs N+ = N-, got "
             f"({K.n_plus},{K.n_minus})")
-    h_flat = numerics.as_matrix(h_flat, square=True, name="H")
-    K.check_dim(h_flat)
-    p_up, p_dn, p_re = _halfplane_projections(spectral.flat_partition(h_flat))
-    if int(round(np.trace(p_re).real)) != 0:
-        raise NotLagrangian("operator still has a kernel; lift it first")
     nn = K.n_plus
     units = []
-    for label, proj in (("plus", p_up), ("minus", p_dn)):
+    for label, proj in (("plus", p_plus), ("minus", p_minus)):
         frame = numerics.range_frame(proj, nn)
         iso = numerics.norm(frame.conj().T @ K.apply(frame))
         if iso > t.isotropy:
@@ -403,7 +398,7 @@ def lagrangian_frames(h_flat, K: KreinStructure) -> LagrangianFrames:
         raise NotFredholmPair(
             f"u_-^* u_+ - 1 has smallest singular value {cert:.3e}")
     rec_p, rec_m = _pair_projections(u_p, u_m, K)
-    err = max(numerics.norm(rec_p - p_up), numerics.norm(rec_m - p_dn))
+    err = max(numerics.norm(rec_p - p_plus), numerics.norm(rec_m - p_minus))
     if err > t.lagrangian:
         raise NotLagrangian(f"re-embedding residual {err:.3e}")
     return LagrangianFrames(u_plus=u_p, u_minus=u_m, certificate=cert)
@@ -590,33 +585,32 @@ def retract_to_model(h_mat, K: KreinStructure,
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
     kind = R.kind.as_tuple() if R is not None else None
-    initial = signature.global_signature(h_mat, K, "hermitian")
-    sig_initial = initial.global_sig
+    member = _require_class_member(h_mat, K, R, "hermitian")
+    part = spectral.spectral_partition(h_mat, "hermitian")
+    sig_initial = signature.invariant_report(part, K, member.residual).global_sig
 
     try:
-        if R is not None:
-            # global_signature checked J-membership; the real structure adds
-            # its own residual
-            _require_class_member(h_mat, K, R, "hermitian")
-        seg_flat = _flatten(h_mat, initial.partition, K, R)
+        seg_flat = _flatten(h_mat, part, K, R)
     except KreinLabError as exc:
         raise StageError("flatten", exc) from exc
     try:
-        lift = lift_kernel(seg_flat.end, K, R, eigs=seg_flat.path.sample(1.0)[1])
+        lift = lift_kernel(seg_flat, K, R)
     except KreinLabError as exc:
         raise StageError("lift", exc) from exc
 
     try:
         symmetry = _symmetry_option(kind)
         s_arg = interleaved_skew(K.n_plus) if kind == (-1, 1) else None
+        p_up, _, p_dn = lift.segment.projections
         if lift.kernel_dim == 0:
-            block, K_blk, carry = lift.segment.end, K, None
+            K_blk, carry = K, None
         elif lift.kernel_dim == 2 and kind == (-1, -1):
-            block, K_blk, carry = _kernel_complement(lift.segment.end, K, R)
+            K_blk, carry = _kernel_complement(lift.segment.end, K, R)
+            p_up, p_dn = (carry[1] @ p @ carry[0] for p in (p_up, p_dn))
         else:
             raise NotLagrangian(
                 f"unexpected residual kernel of dimension {lift.kernel_dim}")
-        frames = lagrangian_frames(block, K_blk)
+        frames = lagrangian_frames(p_up, p_dn, K_blk)
         res = straighten(frames.u_plus, frames.u_minus, symmetry=symmetry,
                          s=s_arg)
     except KreinLabError as exc:
@@ -630,10 +624,8 @@ def retract_to_model(h_mat, K: KreinStructure,
     seg_straight = _segment("straighten", sampler, K, R)
     segments = [seg_flat, lift.segment, seg_straight]
 
-    chain_gap = max(
-        numerics.norm(seg_flat.end - lift.segment.start),
-        numerics.norm(lift.segment.end - seg_straight.start),
-    )
+    # the lift starts at D + 0 pert, so only the straightening can leave a gap
+    chain_gap = numerics.norm(lift.segment.end - seg_straight.start)
     if chain_gap > t.chain_gap:
         raise StageError("final", NotInvariant(
             f"segments do not chain: gap {chain_gap:.3e}"))
@@ -672,8 +664,8 @@ def retract_to_model(h_mat, K: KreinStructure,
 
 
 def _kernel_complement(h_lifted, K: KreinStructure, R: RealStructure):
-    """Kind (-1,-1) with a forced (1,1)-kernel: the block B = Theta^+ H Theta
-    on F = J E_0^perp, its Krein structure and the carriers (Theta, Theta^+).
+    """Kind (-1,-1) with a forced (1,1)-kernel: the Krein structure of the block
+    B = Theta^+ H Theta on F = J E_0^perp and the carriers (Theta, Theta^+).
 
     Theta satisfies Theta* J Theta = J_std and S conj(Theta) = Theta S_std,
     so B is a standard smaller member; a block path B(t) returns as
@@ -698,4 +690,4 @@ def _kernel_complement(h_lifted, K: KreinStructure, R: RealStructure):
     if not member:
         raise FramePreparationFailed(
             f"block operator left the class (residual {member.residual:.3e})")
-    return b0, K_blk, (theta, theta_pinv)
+    return K_blk, (theta, theta_pinv)

@@ -9,8 +9,8 @@ rule evaluates all its resolvents with one inverse of the stacked
 until idempotency converges; the doubled rule contains every node of the
 one before it, so each doubling evaluates only the new midpoint nodes.
 A flat operator (spectrum in {i, 0, -i}) needs no quadrature: its
-projections are polynomials in it (:func:`flat_partition`), validated by
-the same checks.
+projections are polynomials in it (:func:`flat_partition`), or the ones it
+was built from, validated by the same checks.
 
 Quadrature is kept for the projections an integer reads.  A region-tagged
 :func:`spectral_partition` computes one eigendecomposition T X = X diag(lam):
@@ -326,21 +326,27 @@ def flat_partition(h_mat, eigs=None) -> ClusterPartition:
 
     The projections of a flat H (H^3 = -H) are its Lagrange interpolants on
     the nodes i, 0, -i: P_+ = -(H^2 + iH)/2, P_0 = 1 + H^2 and
-    P_- = -(H^2 - iH)/2.  Each eigenvalue joins the node nearest to it, and
-    the clusters pass the same validation as those of
-    :func:`spectral_partition`, so an operator that is not flat raises
-    :class:`QuadratureDivergence`.
+    P_- = -(H^2 - iH)/2, checked by :func:`_flat_partition`.
     """
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     if eigs is None:
         eigs = numerics.eigvals(h_mat)
     h2 = h_mat @ h_mat
-    interpolants = (-(h2 + 1j * h_mat) / 2.0, np.eye(h_mat.shape[0]) + h2,
-                    -(h2 - 1j * h_mat) / 2.0)
+    return _flat_partition(h_mat, eigs, (-(h2 + 1j * h_mat) / 2.0,
+                                         np.eye(h_mat.shape[0]) + h2,
+                                         -(h2 - 1j * h_mat) / 2.0))
+
+
+def _flat_partition(h_mat, eigs, projections) -> ClusterPartition:
+    """Hermitian-tagged partition of a flat H with eigenvalues ``eigs`` and
+    projections (P_+, P_0, P_-) on the nodes i, 0, -i.  Each eigenvalue joins
+    the nearest node, and the clusters pass the validation of
+    :func:`spectral_partition`, so an H that is not flat, or projections
+    that are not its own, raise :class:`QuadratureDivergence`."""
     nearest = np.argmin(np.abs(eigs[:, None] - np.array([1j, 0.0, -1j])), axis=1)
     groups = [np.flatnonzero(nearest == k).tolist() for k in range(3)]
     clusters = [_checked_cluster(h_mat, eigs, idx, p)
-                for idx, p in zip(groups, interpolants) if idx]
+                for idx, p in zip(groups, projections) if idx]
     return _validated_partition(h_mat, clusters, default_delta(eigs),
                                 "hermitian")
 

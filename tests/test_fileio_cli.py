@@ -194,6 +194,18 @@ def test_cli_invariants_nonmember_exit_code(tmp_path):
     assert cli.main(["invariants", str(f), "--kind", "unitary"]) == 2
 
 
+@pytest.mark.parametrize("command", (["retract"],
+                                     ["invariants", "--kind", "hermitian"]))
+def test_cli_real_structure_nonmember_exit_code(tmp_path, capsys, command):
+    # J-hermitian, but not fixed by the real structure its file declares
+    R = make_real_structure((1, 1), 3, 3)
+    f = tmp_path / "h.json"
+    fileio.write_matrix_file(f, krein.random_j_hermitian(R.K, 3), R.K, R)
+    assert cli.main([command[0], str(f), *command[1:]]) == 2
+    assert "operator is not a member of the symmetry class" in \
+        capsys.readouterr().err
+
+
 def test_cli_track_scenario(tmp_path, capsys):
     csv_out = tmp_path / "t.csv"
     ev_out = tmp_path / "e.json"

@@ -58,10 +58,11 @@ def test_retraction_partitions_h_once(monkeypatch):
     partitions = count_outer_calls(monkeypatch, [spectral.spectral_partition])
     flat = count_outer_calls(monkeypatch, [spectral.flat_partition])
     trace = retraction.retract_to_model(h, K)
-    # quadrature only for H (shared by Sig and flatten); the flat, the
-    # lifted and the terminal operators are partitioned by interpolation
+    # quadrature only for H (shared by Sig and flatten); the flat and the
+    # lifted operators carry projections, and only the terminal is
+    # partitioned by interpolation
     assert partitions["calls"] == 1
-    assert flat["calls"] == 3
+    assert flat["calls"] == 1
     assert trace.sig_initial == trace.sig_terminal == 0
 
 
@@ -118,4 +119,15 @@ def test_retraction_checks_h_membership_once(monkeypatch):
     checks = count_outer_calls(monkeypatch, [krein.is_j_hermitian,
                                              realsym.is_member], first_arg=h)
     retraction.retract_to_model(h, K)
+    assert checks["calls"] == 1
+
+
+@pytest.mark.parametrize("kind, m", [((1, 1), 2), ((-1, -1), 3)])
+def test_retraction_checks_h_class_once(monkeypatch, kind, m):
+    # one class check covers J and the real structure
+    R = realsym.make_real_structure(kind, m, m)
+    h = realsym.random_member(R, "hermitian", 5)
+    checks = count_outer_calls(monkeypatch, [krein.is_j_hermitian,
+                                             realsym.is_member], first_arg=h)
+    retraction.retract_to_model(h, R.K, R)
     assert checks["calls"] == 1

@@ -1,18 +1,20 @@
 """Stagewise and end-to-end checks of the retraction pipeline."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kreinlab import krein, numerics, retraction, signature
+from kreinlab import fileio, krein, numerics, retraction, signature, spectral
 from kreinlab.errors import IncompatibleDimensions, NotGapped, NotInClass
 from kreinlab.realsym import (antisymmetric_unitary_factor, interleaved_skew,
                               make_real_structure, random_member, standard_skew,
                               symmetric_unitary_sqrt)
 
 ALL_KINDS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def skew_pair():
@@ -43,7 +45,8 @@ def test_flatten_random_endpoint_spectrum():
 
 def test_lift_zero_operator_plain():
     K = krein.make_standard(1, 1)
-    lift = retraction.lift_kernel(np.zeros((2, 2)), K)
+    lift = retraction.lift_kernel(
+        retraction.spectral_flatten(np.zeros((2, 2)), K), K)
     assert lift.kernel_dim == 0
     np.testing.assert_allclose(lift.segment.end, skew_pair(), atol=1e-9)
     assert lift.segment.path.verify_membership(n_samples=5) <= 1e-8
@@ -55,7 +58,7 @@ def test_lift_definite_kernel_untouched():
     h = np.zeros((3, 3), dtype=complex)
     h[0, 2], h[2, 0] = 1j, 1j  # skew pair on the (+,-) coordinates (0, 2)
     assert krein.is_j_hermitian(h, K).ok
-    lift = retraction.lift_kernel(h, K)
+    lift = retraction.lift_kernel(retraction.spectral_flatten(h, K), K)
     assert lift.kernel_dim == 1
     assert lift.kernel_inertia == (1, 0)
     np.testing.assert_allclose(lift.segment.end, h, atol=1e-10)
@@ -64,7 +67,8 @@ def test_lift_definite_kernel_untouched():
 def test_lift_symplectic_removes_kernel():
     K = krein.make_standard(1, 1)
     R = make_real_structure((1, -1), 1, 1)
-    lift = retraction.lift_kernel(np.zeros((2, 2)), K, R)
+    lift = retraction.lift_kernel(
+        retraction.spectral_flatten(np.zeros((2, 2)), K, R), K, R)
     assert lift.kernel_dim == 0
     assert realmember_residual(lift.segment.end, R) <= 1e-10
 
@@ -79,14 +83,15 @@ def test_lift_kind_minus_minus_forced_kernel():
     R = make_real_structure((-1, -1), 3, 3)
     h = random_member(R, "hermitian", 2)
     seg = retraction.spectral_flatten(h, K, R)
-    lift = retraction.lift_kernel(seg.end, K, R)
+    lift = retraction.lift_kernel(seg, K, R)
     assert lift.kernel_dim == 2
     assert lift.kernel_inertia == (1, 1)
 
 
 def test_lagrangian_frames_skew_pair():
     K = krein.make_standard(1, 1)
-    frames = retraction.lagrangian_frames(skew_pair(), K)
+    p_plus, _, p_minus = retraction.spectral_flatten(skew_pair(), K).projections
+    frames = retraction.lagrangian_frames(p_plus, p_minus, K)
     np.testing.assert_allclose(frames.u_plus, [[1.0]], atol=1e-9)
     np.testing.assert_allclose(frames.u_minus, [[-1.0]], atol=1e-9)
     np.testing.assert_allclose(frames.certificate, 2.0, atol=1e-9)
@@ -96,8 +101,9 @@ def test_lagrangian_frames_isotropy_and_reembedding():
     K = krein.make_standard(3, 3)
     h = krein.random_j_hermitian(K, 4)
     seg = retraction.spectral_flatten(h, K)
-    lift = retraction.lift_kernel(seg.end, K)
-    frames = retraction.lagrangian_frames(lift.segment.end, K)
+    lift = retraction.lift_kernel(seg, K)
+    p_plus, _, p_minus = lift.segment.projections
+    frames = retraction.lagrangian_frames(p_plus, p_minus, K)
     nn = 3
     for u in (frames.u_plus, frames.u_minus):
         assert numerics.norm(u.conj().T @ u - np.eye(nn)) <= 1e-9
@@ -109,7 +115,7 @@ def test_lagrangian_frames_isotropy_and_reembedding():
 def test_lagrangian_frames_requires_balanced():
     K = krein.make_standard(2, 1)
     with pytest.raises(IncompatibleDimensions):
-        retraction.lagrangian_frames(np.zeros((3, 3)), K)
+        retraction.lagrangian_frames(np.zeros((3, 3)), np.zeros((3, 3)), K)
 
 
 def test_factorize_identity():
@@ -189,8 +195,9 @@ def lagrangian_pair(kind, m, seed):
         R = make_real_structure(kind, m, m)
         h = random_member(R, "hermitian", seed)
     seg = retraction.spectral_flatten(h, K, R)
-    lift = retraction.lift_kernel(seg.end, K, R)
-    frames = retraction.lagrangian_frames(lift.segment.end, K)
+    lift = retraction.lift_kernel(seg, K, R)
+    p_plus, _, p_minus = lift.segment.projections
+    frames = retraction.lagrangian_frames(p_plus, p_minus, K)
     s = interleaved_skew(m) if kind == (-1, 1) else None
     return frames.u_plus, frames.u_minus, retraction._symmetry_option(kind), s
 
@@ -269,6 +276,62 @@ def test_retract_each_kind(kind):
         assert trace.kernel_inertia == (1, 1)
 
 
+@pytest.mark.parametrize("name, terminal_class",
+                         [("retract_o_m5.json", "real"),
+                          ("retract_u_m4.json", "none")])
+def test_retract_stored_members(name, terminal_class):
+    """Members of O(5,5) and U(4,4) whose flat operators' interpolated
+    projections missed the idempotency bound (1.5e-8 and 3.8e-8 against
+    1e-8); the projections the flat operator was built from pass it."""
+    mf = fileio.read_matrix_file(DATA / name)
+    trace = retraction.retract_to_model(mf.matrix, mf.K, mf.R)
+    assert trace.sig_initial == trace.sig_terminal == 0
+    assert trace.terminal_class == terminal_class
+    assert trace.membership_max_residual <= 1e-7
+    assert trace.chain_max_gap <= 1e-7
+    assert trace.terminal_spectrum_residual <= 1e-6
+    if mf.R is not None:
+        assert trace.terminal_symmetry_residual <= 1e-8
+
+
+@pytest.mark.parametrize("kind, m", [
+    (kind, m) for kind in (None,) + ALL_KINDS
+    for m in ((2, 4) if kind == (-1, 1) else (2, 3, 4, 5))])
+def test_lift_carries_the_projections_of_its_end(kind, m):
+    """The lift hands on (P_+, P_0, P_-) of the lifted operator L: a
+    partition of L that reproduces it and agrees with its interpolants
+    (kind (-1,-1) at odd m keeps a kernel, whose complement block
+    Theta^+ L Theta takes Theta^+ P Theta)."""
+    K = krein.make_standard(m, m)
+    R = None if kind is None else make_real_structure(kind, m, m)
+    for seed in range(3):
+        h = (krein.random_j_hermitian(K, seed) if kind is None
+             else random_member(R, "hermitian", seed))
+        lift = retraction.lift_kernel(retraction.spectral_flatten(h, K, R),
+                                      K, R)
+        lifted, carried = lift.segment.end, lift.segment.projections
+        assert numerics.norm(sum(carried) - np.eye(K.dim)) <= 1e-8
+        for p in carried:
+            assert numerics.norm(p @ p - p) <= 1e-8
+            assert numerics.norm(p @ lifted - lifted @ p) <= \
+                1e-8 * max(1.0, numerics.norm(lifted))
+        assert numerics.norm(
+            lifted - 1j * (carried[0] - carried[2])) <= 1e-8
+        if max(numerics.norm(p) for p in carried) <= 30.0:
+            interpolants = retraction._halfplane_projections(
+                spectral.flat_partition(lifted))
+            for p, q in zip(carried, interpolants):
+                assert numerics.norm(p - q) <= 1e-8
+        if lift.kernel_dim:
+            _, (theta, theta_pinv) = retraction._kernel_complement(
+                lifted, K, R)
+            block = retraction._halfplane_projections(
+                spectral.flat_partition(theta_pinv @ lifted @ theta))
+            for p, q in ((carried[0], block[0]), (carried[2], block[2])):
+                assert numerics.norm(theta_pinv @ p @ theta - q) <= 1e-8
+    assert lift.kernel_dim == (2 if kind == (-1, -1) and m % 2 else 0)
+
+
 @pytest.mark.parametrize("kind", (None, (-1, -1)), ids=("plain", "kernel"))
 def test_segment_endpoints_are_path_samples(kind):
     """Segment endpoints are their path's samples, so the terminal is the
@@ -297,7 +360,7 @@ def test_retract_unbalanced_flatten_lift_only():
     h = krein.random_j_hermitian(K, 12)
     assert signature.global_signature(h, K, "hermitian").global_sig == 2
     seg = retraction.spectral_flatten(h, K)
-    lift = retraction.lift_kernel(seg.end, K)
+    lift = retraction.lift_kernel(seg, K)
     assert lift.kernel_dim == 3 + 1 - 2 * 1
     assert 0 in lift.kernel_inertia
     assert signature.global_signature(lift.segment.end, K,
