@@ -20,7 +20,7 @@ from dataclasses import dataclass
 @dataclass(frozen=True)
 class ToleranceConfig:
     # dense linear algebra substrate
-    singular_pivot: float = 1e-13    # pivot threshold, relative to ||A||
+    singular_value: float = 1e-13    # smallest singular value, relative to ||A||
     herm_rtol: float = 1e-10         # allowed ||A - A*|| / ||A||
     rank: float = 1e-8               # default numerical-rank threshold
 

@@ -14,7 +14,7 @@ class KreinLabError(Exception):
 # ---------------------------------------------------------------- numerics
 
 class SingularMatrix(KreinLabError):
-    """A linear solve hit a pivot below the singularity threshold."""
+    """A linear solve met a numerically singular matrix."""
 
 
 class NoConvergence(KreinLabError):

@@ -155,21 +155,21 @@ def run_fixture(name: str, regenerate: bool = False) -> bool:
 
 # ------------------------------------------------- example constructions
 
-def build_sig2_example(b: float = 3.0, x: float = 1.0):
+def build_sig2_example():
     """A 6x6 kind (-1,-1) unitary with on-circle dimension 2 (Sig_2 = 1).
 
     Built as the Cayley image of the hermitian member [[A, B], [-B*, -A]]
-    with A = diag(0, 0, x) and B the rank-2 antisymmetric coupling of
-    strength b: the spectrum is {+-i b (twice each), +-x}, mapping to the
+    with A = diag(0, 0, 1) and B the rank-2 antisymmetric coupling of
+    strength 3: the spectrum is {+-3i (twice each), +-1}, mapping to the
     off-circle quadruple {mu, mu, 1/mu, 1/mu} plus one circle couple.
     """
     from .cayley import CayleyParams, cayley_op
     from .realsym import make_real_structure
 
-    a_blk = np.diag([0.0, 0.0, x]).astype(complex)
+    a_blk = np.diag([0.0, 0.0, 1.0]).astype(complex)
     b_blk = np.zeros((3, 3), dtype=complex)
-    b_blk[0, 1] = b
-    b_blk[1, 0] = -b
+    b_blk[0, 1] = 3.0
+    b_blk[1, 0] = -3.0
     h = np.block([[a_blk, b_blk], [-b_blk.conj().T, -a_blk.conj()]])
     R = make_real_structure((-1, -1), 3, 3)
     t_mat = cayley_op(h, R.K, CayleyParams(z=1j, zeta=1.0))

@@ -5,11 +5,11 @@ validated inputs, linear solves with singularity detection, general
 eigenvalues and eigendecompositions, hermitian eigendecompositions,
 orthonormal frames, the matrix exponential and logarithm, and optimal
 assignment.  The heavy lifting is LAPACK through ``numpy.linalg``:
-eigenvalues, eigendecompositions, QR, SVDs and the solves themselves.  Three
-kernels numpy lacks are written here over it: the partial-pivot LU pivots
-that ``solve`` checks, the unitary logarithm (eigenvectors orthonormalized
-by QR in place of a Schur form), and the shortest-augmenting-path
-assignment.  One kernel is left to scipy:
+eigenvalues, eigendecompositions, QR, SVDs and the solves themselves, whose
+singularity is decided by the smallest singular value.  Two kernels numpy
+lacks are written here over it: the unitary logarithm (eigenvectors
+orthonormalized by QR in place of a Schur form), and the
+shortest-augmenting-path assignment.  One kernel is left to scipy:
 ``matrix_exp`` (``expm``), which imports scipy inside the function, so a
 caller that never needs it never pays for importing scipy.  This is the only
 module that names scipy.  The contracts and failure modes are owned here:
@@ -44,52 +44,24 @@ def norm(a) -> float:
     return float(np.linalg.norm(a))
 
 
-def _smallest_lu_pivot(a) -> float:
-    """Smallest |U_kk| of the partial-pivot LU factorization P A = L U.
-
-    Rows are chosen as LAPACK's ``getrf`` chooses them: the first row whose
-    entry in the pivot column has the largest |Re| + |Im|.  The elimination
-    runs on Python complex scalars, which beats numpy's per-call overhead at
-    the small sizes this package solves.
-    """
-    rows = a.tolist()
-    smallest = float("inf")
-    while rows:
-        p, best = 0, -1.0
-        for i, row in enumerate(rows):
-            z = row[0]
-            size = abs(z.real) + abs(z.imag)
-            if size > best:
-                p, best = i, size
-        pivot = rows[p]
-        rows[p] = rows[0]
-        d = pivot[0]
-        smallest = min(smallest, abs(d))
-        tail = pivot[1:]
-        r = 1.0 / d if d else 0.0
-        rest = []
-        for row in rows[1:]:
-            f = row[0] * r
-            rest.append([x - f * y for x, y in zip(row[1:], tail)] if f else row[1:])
-        rows = rest
-    return smallest
-
-
 def solve(a, b) -> np.ndarray:
-    """Solve A X = B by partial-pivot LU.
+    """Solve A X = B by LU.
 
-    Raises :class:`SingularMatrix` when a pivot falls below
-    ``singular_pivot * ||A||``.
+    Raises :class:`SingularMatrix` when the smallest singular value of A
+    falls below ``singular_value * ||A||``.
     """
     a = as_matrix(a, square=True, name="A")
     b = np.asarray(b, dtype=complex)
     if b.shape[0] != a.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    smallest = _smallest_lu_pivot(a)
-    threshold = config.DEFAULT.singular_pivot * max(norm(a), 1e-300)
+    try:
+        smallest = np.linalg.svd(a, compute_uv=False)[-1]
+    except np.linalg.LinAlgError as exc:
+        raise NoConvergence(f"SVD did not converge: {exc}") from exc
+    threshold = config.DEFAULT.singular_value * max(norm(a), 1e-300)
     if smallest < threshold:
-        raise SingularMatrix(
-            f"pivot {smallest:.3e} below threshold {threshold:.3e}")
+        raise SingularMatrix(f"smallest singular value {smallest:.3e} below "
+                             f"threshold {threshold:.3e}")
     try:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError as exc:

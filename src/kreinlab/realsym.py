@@ -186,14 +186,8 @@ def classify_group(structure) -> GroupInfo:
 
 @dataclass
 class RealSymmetryReport:
-    closure_ok: bool
     worst_closure_distance: float
-    projection_pairs: list[tuple[int, int]]
-    projection_residuals: list[float]
-
-    @property
-    def max_projection_residual(self) -> float:
-        return max(self.projection_residuals, default=0.0)
+    max_projection_residual: float
 
 
 def _reflection_orbit(lam: complex, kind: str) -> list[complex]:
@@ -225,8 +219,8 @@ def check_spectral_symmetries(a, R: RealStructure, kind: str) -> RealSymmetryRep
                     f"reflection {target:.6g} of eigenvalue {lam:.6g} missing "
                     f"(closest at distance {d:.3e})", eigenvalue=lam)
     part = spectral.spectral_partition(a)
-    pairs, residuals = [], []
-    for i, c in enumerate(part.clusters):
+    worst_projection = 0.0
+    for c in part.clusters:
         target = np.conj(c.center) if kind == "unitary" else -np.conj(c.center)
         j = part.cluster_at(target)
         if j is None:
@@ -235,11 +229,9 @@ def check_spectral_symmetries(a, R: RealStructure, kind: str) -> RealSymmetryRep
                 eigenvalue=c.center)
         res = numerics.norm(R.S.T @ conj(c.projection) @ R.S
                             - part.clusters[j].projection)
-        pairs.append((i, j))
-        residuals.append(float(res))
-    return RealSymmetryReport(closure_ok=True, worst_closure_distance=worst,
-                              projection_pairs=pairs,
-                              projection_residuals=residuals)
+        worst_projection = max(worst_projection, float(res))
+    return RealSymmetryReport(worst_closure_distance=worst,
+                              max_projection_residual=worst_projection)
 
 
 @dataclass

@@ -25,8 +25,8 @@ moved by the lift's exactly flat V; each passes the checks of
 orthogonal, takes Lagrange interpolants, for its independent Sig check.
 A segment's endpoints are its path's own samples at t = 0 and t = 1, so
 the terminal is the straightening path sampled once at t = 1.  Flatten and
-lift are affine in t, so their membership is certified at the two
-endpoints; the straightening path is sampled.
+lift are affine in t, so their membership is certified at their endpoints,
+each operator once; the straightening path is sampled.
 
 One straightening tail serves every case: frames, :func:`straighten` and
 the path.  Without residual kernel it straightens the lifted operator
@@ -46,9 +46,9 @@ import numpy as np
 
 from . import config, numerics, signature, spectral
 from .errors import (DegenerateSubspace, FramePreparationFailed,
-                     IncompatibleDimensions, KreinLabError, NotFredholmPair,
-                     NotGapped, NotInClass, NotInvariant, NotLagrangian,
-                     PathBlocked, StageError)
+                     IncompatibleDimensions, KreinLabError, MembershipError,
+                     NotFredholmPair, NotGapped, NotInClass, NotInvariant,
+                     NotLagrangian, PathBlocked, StageError)
 from .homotopy import OperatorPath
 from .krein import KreinStructure, require_member
 from .realsym import (RealStructure, _require_class_member, _unitary_root,
@@ -57,10 +57,6 @@ from .realsym import (RealStructure, _require_class_member, _unitary_root,
                       symmetric_unitary_sqrt)
 
 SEGMENT_SAMPLES = 9   # membership samples on the straightening segment
-# Flatten and lift are affine in t, and both membership residuals are norms
-# of expressions linear in H, hence convex in t: on these segments the
-# endpoint residuals bound every interior one.
-AFFINE_STAGES = ("flatten", "lift")
 
 
 @dataclass
@@ -224,8 +220,12 @@ def _lift_v(kind, n_plus: int, n_minus: int) -> np.ndarray:
 @dataclass
 class LiftResult:
     segment: PathSegment
-    kernel_dim: int
+    kernel: np.ndarray               # orthonormal frame of the end's kernel
     kernel_inertia: tuple[int, int]
+
+    @property
+    def kernel_dim(self) -> int:
+        return self.kernel.shape[1]
 
 
 def lift_kernel(flat_segment: PathSegment, K: KreinStructure,
@@ -252,7 +252,8 @@ def lift_kernel(flat_segment: PathSegment, K: KreinStructure,
             return h_flat
 
         return LiftResult(segment=_segment("lift", sampler, K, R, flat),
-                          kernel_dim=0, kernel_inertia=(0, 0))
+                          kernel=np.zeros((K.dim, 0), complex),
+                          kernel_inertia=(0, 0))
 
     psi0 = numerics.range_frame(p_re, mult)
     j_psi = psi0.conj().T @ K.apply(psi0)
@@ -314,14 +315,10 @@ def lift_kernel(flat_segment: PathSegment, K: KreinStructure,
     seg = _segment("lift", sampler, K, R, lifted)
     kernel = numerics.kernel_frame(seg.end)
     k_dim = kernel.shape[1]
-    if k_dim:
-        nu = signature.form_inertia(kernel, K)
-        k_inertia = nu.as_tuple()
-    else:
-        k_inertia = (0, 0)
+    k_inertia = signature.form_inertia(kernel, K).as_tuple() if k_dim else (0, 0)
     _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia)
     spectral._flat_partition(seg.end, seg.path.sample(1.0)[1], lifted)
-    return LiftResult(segment=seg, kernel_dim=k_dim, kernel_inertia=k_inertia)
+    return LiftResult(segment=seg, kernel=kernel, kernel_inertia=k_inertia)
 
 
 def _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia):
@@ -605,7 +602,7 @@ def retract_to_model(h_mat, K: KreinStructure,
         if lift.kernel_dim == 0:
             K_blk, carry = K, None
         elif lift.kernel_dim == 2 and kind == (-1, -1):
-            K_blk, carry = _kernel_complement(lift.segment.end, K, R)
+            K_blk, carry = _kernel_complement(lift, K, R)
             p_up, p_dn = (carry[1] @ p @ carry[0] for p in (p_up, p_dn))
         else:
             raise NotLagrangian(
@@ -629,11 +626,21 @@ def retract_to_model(h_mat, K: KreinStructure,
     if chain_gap > t.chain_gap:
         raise StageError("final", NotInvariant(
             f"segments do not chain: gap {chain_gap:.3e}"))
-    worst_membership = 0.0
-    for seg in segments:
-        samples = 2 if seg.stage in AFFINE_STAGES else SEGMENT_SAMPLES
-        worst_membership = max(worst_membership,
-                               seg.path.verify_membership(n_samples=samples))
+    # Flatten and lift are affine in t, and both membership residuals are
+    # norms of expressions linear in H, hence convex in t: their endpoints
+    # bound every interior residual.  H passed its class check above and D
+    # ends the flatten and starts the lift, whose end is new only where the
+    # lift moved D (not when D has no kernel).
+    ends = [seg_flat] + [lift.segment] * (
+        not np.array_equal(lift.segment.end, seg_flat.end))
+    worst_membership = max([member.residual] + [
+        seg.path.membership_residual(1.0) for seg in ends])
+    if worst_membership > t.path_membership:
+        raise MembershipError(f"path membership residual {worst_membership:.3e}"
+                              f" exceeds {t.path_membership:.1e}",
+                              residual=worst_membership)
+    worst_membership = max(worst_membership, seg_straight.path.verify_membership(
+        n_samples=SEGMENT_SAMPLES))
     terminal, terminal_eigs = seg_straight.path.sample(1.0)
     spec_res = flat_spectrum_residual(terminal_eigs)
     if spec_res > t.terminal_spectrum:
@@ -663,17 +670,17 @@ def retract_to_model(h_mat, K: KreinStructure,
         membership_max_residual=worst_membership, chain_max_gap=chain_gap)
 
 
-def _kernel_complement(h_lifted, K: KreinStructure, R: RealStructure):
-    """Kind (-1,-1) with a forced (1,1)-kernel: the Krein structure of the block
-    B = Theta^+ H Theta on F = J E_0^perp and the carriers (Theta, Theta^+).
+def _kernel_complement(lift: LiftResult, K: KreinStructure, R: RealStructure):
+    """Kind (-1,-1) with a forced (1,1)-kernel E_0 of the lifted operator H:
+    the Krein structure of the block B = Theta^+ H Theta on F = J E_0^perp
+    and the carriers (Theta, Theta^+).
 
     Theta satisfies Theta* J Theta = J_std and S conj(Theta) = Theta S_std,
     so B is a standard smaller member; a block path B(t) returns as
     Theta B(t) Theta^+ with Theta^+ = J_std Theta* J, which vanishes on the
     kernel and restricts to B(t) on F.
     """
-    psi0 = numerics.kernel_frame(h_lifted)
-    eperp = numerics.kernel_frame(psi0.conj().T)
+    eperp = numerics.kernel_frame(lift.kernel.conj().T)
     phi0 = numerics.orthonormal_frame(K.apply(eperp))
     j_f = phi0.conj().T @ K.apply(phi0)
     s_f = phi0.conj().T @ R.S @ conj(phi0)
@@ -685,7 +692,7 @@ def _kernel_complement(h_lifted, K: KreinStructure, R: RealStructure):
     theta = phi0 @ norm_pair.R
     K_blk = norm_pair.K
     theta_pinv = K_blk.J @ theta.conj().T @ K.J
-    b0 = theta_pinv @ h_lifted @ theta
+    b0 = theta_pinv @ lift.segment.end @ theta
     member = is_member(b0, norm_pair.structure, "hermitian")
     if not member:
         raise FramePreparationFailed(

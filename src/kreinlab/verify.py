@@ -12,13 +12,15 @@ import time
 import numpy as np
 
 from . import config, numerics, signature, spectral
-from .cayley import transport_report
+from .cayley import CayleyParams, cayley_inv_op, cayley_op, pick_zeta, \
+    transport_report
 from .config import SUITES
 from .errors import KreinLabError
 from .homotopy import OperatorPath, detect_events, scenario_library, track, \
     verify_krein_stability
 from .krein import make_standard, random_j_hermitian, random_j_unitary
-from .realsym import make_real_structure, random_member, standard_skew
+from .realsym import check_spectral_symmetries, kramers_check, \
+    make_real_structure, random_member, standard_skew
 from .retraction import factorize_unitary, retract_to_model
 
 ALL_KINDS = ((1, 1), (-1, -1), (-1, 1), (1, -1))
@@ -93,40 +95,54 @@ def suite_riesz(n: int = 100, seed: int = 0) -> dict:
     return _result("riesz", n, seed, failures, worst)
 
 
-def suite_signature_law(n: int = 200, seed: int = 0, max_dim: int = 16) -> dict:
-    """Sig = N+ - N- for random J-hermitians and J-unitaries."""
+def suite_signature_law(n: int = 200, seed: int = 0) -> dict:
+    """Sig = N+ - N- for random J-hermitians and J-unitaries, the reflection
+    identities P^* = J P' J of their spectral projections, and a Fredholm
+    corrector at every real-axis cluster of the J-hermitians."""
     rng = np.random.default_rng(seed)
     failures = []
-    worst = {"membership": 0.0}
+    worst = {"membership": 0.0, "reflection": 0.0}
     for k in range(n):
-        n_plus, n_minus = _random_dims(rng, max_dim)
+        n_plus, n_minus = _random_dims(rng, 16)
         K = make_standard(n_plus, n_minus)
         kind = "hermitian" if k % 2 == 0 else "unitary"
         a = random_j_hermitian(K, rng.integers(2 ** 63)) if kind == "hermitian" \
             else random_j_unitary(K, rng.integers(2 ** 63))
         try:
             rep = signature.global_signature(a, K, kind)
+            sym = spectral.check_projection_symmetry(K, rep.partition, kind)
+            for c in rep.partition.clusters:
+                if c.region == "real-axis":
+                    spectral.fredholm_corrector(a, K, c.center.real)
         except KreinLabError as exc:
             failures.append(f"instance {k} ({kind}, {n_plus},{n_minus}): {exc}")
             continue
         worst["membership"] = max(worst["membership"], rep.membership_residual)
+        worst["reflection"] = max(worst["reflection"], sym.max_residual)
         if rep.global_sig != n_plus - n_minus:
             failures.append(
                 f"instance {k} ({kind}): Sig {rep.global_sig} != "
                 f"{n_plus - n_minus}")
+    if worst["reflection"] > config.DEFAULT.riesz:
+        failures.append(f"reflection {worst['reflection']:.3e}")
     return _result("signature-law", n, seed, failures, worst)
 
 
-def suite_cayley(n: int = 50, seed: int = 0, max_dim: int = 10) -> dict:
-    """Cayley transport of inertia and global signature."""
+def suite_cayley(n: int = 50, seed: int = 0) -> dict:
+    """Cayley transport of inertia and global signature, and the round trip
+    T -> C^-1(T) -> T at the admissible zeta farthest from the spectrum."""
     rng = np.random.default_rng(seed)
     failures = []
+    worst = {"roundtrip": 0.0}
     for k in range(n):
-        n_plus, n_minus = _random_dims(rng, max_dim)
+        n_plus, n_minus = _random_dims(rng, 10)
         K = make_standard(n_plus, n_minus)
         h = random_j_hermitian(K, rng.integers(2 ** 63))
         try:
             rep = transport_report(h, K)
+            t_op = cayley_op(h, K)
+            p = CayleyParams(zeta=pick_zeta(numerics.eigvals(t_op)))
+            back = cayley_op(cayley_inv_op(t_op, K, p), K, p)
         except KreinLabError as exc:
             failures.append(f"instance {k}: {exc}")
             continue
@@ -134,15 +150,19 @@ def suite_cayley(n: int = 50, seed: int = 0, max_dim: int = 10) -> dict:
             failures.append(f"instance {k}: inertia not transported")
         if not rep.sig_equal:
             failures.append(f"instance {k}: Sig not transported")
-    return _result("cayley", n, seed, failures, {})
+        worst["roundtrip"] = max(worst["roundtrip"], numerics.norm(back - t_op)
+                                 / (1.0 + numerics.norm(t_op)))
+    if worst["roundtrip"] > config.DEFAULT.riesz:
+        failures.append(f"roundtrip {worst['roundtrip']:.3e}")
+    return _result("cayley", n, seed, failures, worst)
 
 
 def suite_kramers(n: int = 100, seed: int = 0) -> dict:
-    """Even multiplicities at symmetric-point spectrum for eta = -1 kinds."""
-    from .realsym import kramers_check
-
+    """Even multiplicities at symmetric-point spectrum for eta = -1 kinds, and
+    the spectral symmetries that the real structure forces."""
     rng = np.random.default_rng(seed)
     failures = []
+    worst = {"real_symmetry": 0.0, "closure": 0.0}
     for kind in ((-1, -1), (-1, 1)):
         for k in range(n):
             if kind == (-1, 1):
@@ -155,6 +175,7 @@ def suite_kramers(n: int = 100, seed: int = 0) -> dict:
             a = random_member(R, op_kind, rng.integers(2 ** 63))
             try:
                 rep = kramers_check(a, R, op_kind)
+                sym = check_spectral_symmetries(a, R, op_kind)
             except KreinLabError as exc:
                 failures.append(f"kind {kind} instance {k}: {exc}")
                 continue
@@ -162,14 +183,20 @@ def suite_kramers(n: int = 100, seed: int = 0) -> dict:
                 failures.append(
                     f"kind {kind} instance {k} ({op_kind}): odd multiplicity "
                     f"{rep.entries}")
-    return _result("kramers", n, seed, failures, {})
+            worst["real_symmetry"] = max(worst["real_symmetry"],
+                                         sym.max_projection_residual)
+            worst["closure"] = max(worst["closure"], sym.worst_closure_distance)
+    for name, value in worst.items():
+        if value > config.DEFAULT.riesz:
+            failures.append(f"{name} {value:.3e}")
+    return _result("kramers", n, seed, failures, worst)
 
 
-def _random_member_path(R, rng, scale=1.5) -> OperatorPath:
+def _random_member_path(R, rng) -> OperatorPath:
     h0 = random_member(R, "hermitian", rng.integers(2 ** 63))
     h1 = random_member(R, "hermitian", rng.integers(2 ** 63))
-    h0 = h0 / max(numerics.norm(h0), 1.0) * scale
-    h1 = h1 / max(numerics.norm(h1), 1.0) * scale
+    h0 = h0 / max(numerics.norm(h0), 1.0) * 1.5
+    h1 = h1 / max(numerics.norm(h1), 1.0) * 1.5
 
     def sampler(t):
         return numerics.matrix_exp(1j * ((1.0 - t) * h0 + t * h1))

@@ -68,7 +68,7 @@ def test_03_riesz_projection_suite():
 
 def test_04_cayley_transport():
     start = time.monotonic()
-    out = verify.suite_cayley(n=50, seed=104, max_dim=10)
+    out = verify.suite_cayley(n=50, seed=104)
     assert out["passed"], out["failures"][:5]
     _report(4, "Cayley transport of Sig and per-cluster inertia (50)", start)
 

@@ -278,7 +278,8 @@ def test_lapack_failures_are_typed(monkeypatch):
     for call in (numerics.eigvals, numerics.eig, numerics.herm_eig,
                  numerics.orthonormal_frame, numerics.kernel_frame,
                  lambda p: numerics.range_frame(p, 2),
-                 numerics.polar_unitary, numerics.unitary_log):
+                 numerics.polar_unitary, numerics.unitary_log,
+                 lambda p: numerics.solve(p, p)):
         with pytest.raises(NoConvergence):
             call(a)
 
@@ -374,10 +375,9 @@ def test_unitary_log_matches_schur_reference(branch_point):
         assert numerics.norm(h - schur_log_reference(v, branch_point)) <= 1e-12
 
 
-@pytest.mark.filterwarnings("ignore::scipy.linalg.LinAlgWarning")
-def test_solve_singular_exactly_when_lu_pivot_is_small():
+def test_solve_singular_exactly_when_smallest_singular_value_is_small():
     rng = np.random.default_rng(14)
-    threshold = config.DEFAULT.singular_pivot
+    threshold = config.DEFAULT.singular_value
     raised = solved = 0
     for k in range(600):
         n = int(rng.integers(1, 12))
@@ -388,13 +388,8 @@ def test_solve_singular_exactly_when_lu_pivot_is_small():
             a = random_complex(rng, n, r) @ random_complex(rng, r, n)
         else:
             a = rng.integers(-1, 2, (n, n)).astype(complex)
-        lu, _ = sla.lu_factor(a)
-        smallest = np.abs(np.diag(lu)).min()
+        smallest = np.linalg.svd(a, compute_uv=False)[-1]
         singular = smallest < threshold * max(numerics.norm(a), 1e-300)
-        if k % 3 == 0:
-            # the same row choices as LAPACK, hence the same pivots
-            assert abs(numerics._smallest_lu_pivot(a) - smallest) \
-                <= 1e-12 * numerics.norm(a)
         b = random_complex(rng, n, 2)
         if singular:
             raised += 1
@@ -403,7 +398,7 @@ def test_solve_singular_exactly_when_lu_pivot_is_small():
         else:
             solved += 1
             x = numerics.solve(a, b)
-            np.testing.assert_allclose(x, sla.lu_solve((lu, _), b),
+            np.testing.assert_allclose(x, sla.lu_solve(sla.lu_factor(a), b),
                                        rtol=1e-8, atol=1e-10)
             np.testing.assert_allclose(numerics.solve(a, b[:, 0]), x[:, 0])
     assert raised >= 150 and solved >= 150

@@ -2,6 +2,7 @@
 
 import sys
 
+import numpy as np
 import pytest
 
 from kreinlab import homotopy, krein, realsym, retraction, spectral
@@ -10,14 +11,15 @@ from kreinlab import homotopy, krein, realsym, retraction, spectral
 def count_outer_calls(monkeypatch, functions, first_arg=None) -> dict:
     """Wrap every kreinlab binding of ``functions`` and count the calls made
     while no other counted call is open, only those whose first argument is
-    ``first_arg`` when it is given."""
-    counter = {"calls": 0, "depth": 0}
+    ``first_arg`` when it is given; ``args`` lists their first arguments."""
+    counter = {"calls": 0, "depth": 0, "args": []}
 
     def wrap(fn):
         def wrapper(*args, **kwargs):
             if counter["depth"] == 0 and (first_arg is None
                                           or args[0] is first_arg):
                 counter["calls"] += 1
+                counter["args"].append(args[0])
             counter["depth"] += 1
             try:
                 return fn(*args, **kwargs)
@@ -83,12 +85,51 @@ def test_retraction_path_membership_samples(monkeypatch, kind, m):
 
     monkeypatch.setattr(homotopy.OperatorPath, "membership_residual", counted)
     trace = retraction.retract_to_model(h, K, R)
-    # the affine flatten and lift segments are certified at their endpoints,
-    # the straightening segment at SEGMENT_SAMPLES points
-    straight = trace.segments[2].path.name
+    # the affine flatten and lift segments are certified at their ends: H
+    # passed its class check and D ends the flatten, so only the lift's end
+    # is sampled besides, where the lift moved D; the straightening segment
+    # is sampled at SEGMENT_SAMPLES points
+    flat, lift, straight = trace.segments
+    moved = not np.array_equal(lift.end, flat.end)
+    affine = ["flatten"] + ["lift"] * moved
     assert [name for name, _ in samples] == \
-        ["flatten"] * 2 + ["lift"] * 2 + [straight] * 9
-    assert [t for name, t in samples if name != straight] == [0.0, 1.0] * 2
+        affine + [straight.path.name] * retraction.SEGMENT_SAMPLES
+    assert [t for name, t in samples if name != straight.path.name] == \
+        [1.0] * len(affine)
+
+
+@pytest.mark.parametrize("kind, m, moved, checks",
+                         [(None, 2, True, 14), ((-1, -1), 3, False, 14)],
+                         ids=("plain", "kernel"))
+def test_retraction_membership_checks_per_operator(monkeypatch, kind, m,
+                                                   moved, checks):
+    """Membership checks of one retraction, matched to the operators by
+    value: H once, the flattened D twice (the lift stage's entry check and
+    the flatten end), the lifted end once when the lift moved D, the
+    straightening samples and the terminal's Sig report.  The forced
+    (1,1)-kernel of kind (-1,-1) at m = 3 is left in place by a zero V and
+    adds the check of its complement block."""
+    K = krein.make_standard(m, m)
+    if kind is None:
+        R, h = None, krein.random_j_hermitian(K, 5)
+    else:
+        R = realsym.make_real_structure(kind, m, m)
+        h = realsym.random_member(R, "hermitian", 5)
+    counter = count_outer_calls(monkeypatch, [krein.is_j_hermitian,
+                                              realsym.is_member])
+    trace = retraction.retract_to_model(h, K, R)
+    flat, lift, _ = trace.segments
+    checked = counter["args"]
+
+    def times(a):
+        return sum(np.array_equal(x, a) for x in checked)
+
+    assert times(h) == 1
+    assert times(flat.end) == 2
+    assert moved == (not np.array_equal(lift.end, flat.end))
+    if moved:
+        assert times(lift.end) == 1
+    assert counter["calls"] == checks
 
 
 @pytest.mark.parametrize("kind, m", [(None, 2), ((1, -1), 3), ((-1, -1), 3)])

@@ -77,7 +77,6 @@ def test_random_member_and_spectral_symmetries(kind, op_kind):
     member = realsym.is_member(a, R, op_kind)
     assert member.ok, member.residual
     rep = realsym.check_spectral_symmetries(a, R, op_kind)
-    assert rep.closure_ok
     assert rep.max_projection_residual <= 1e-6
 
 

@@ -324,7 +324,7 @@ def test_lift_carries_the_projections_of_its_end(kind, m):
                 assert numerics.norm(p - q) <= 1e-8
         if lift.kernel_dim:
             _, (theta, theta_pinv) = retraction._kernel_complement(
-                lifted, K, R)
+                lift, K, R)
             block = retraction._halfplane_projections(
                 spectral.flat_partition(theta_pinv @ lifted @ theta))
             for p, q in ((carried[0], block[0]), (carried[2], block[2])):
