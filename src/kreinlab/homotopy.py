@@ -71,6 +71,11 @@ class OperatorPath:
             a = self._matrices[t] = self(t)
         return a
 
+    def store(self, t: float, a: np.ndarray) -> None:
+        """Keep ``a``, evaluated elsewhere (say, in a stacked evaluation of
+        the sampler), as the matrix at t."""
+        self._matrices[float(t)] = a
+
     def sample(self, t: float) -> tuple[np.ndarray, np.ndarray]:
         """``(matrix, eigenvalues)`` at t, computed once per parameter value."""
         t = float(t)

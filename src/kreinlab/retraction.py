@@ -23,10 +23,9 @@ operator D = i(P_+ - P_-) carries H's projections and the lifted one D's,
 moved by the lift's exactly flat V; each passes the checks of
 :func:`spectral.flat_partition`.  Only the terminal, whose projections are
 orthogonal, takes Lagrange interpolants, for its independent Sig check.
-A segment's endpoints are its path's own samples at t = 0 and t = 1, so
-the terminal is the straightening path sampled once at t = 1.  Flatten and
-lift are affine in t, so their membership is certified at their endpoints,
-each operator once; the straightening path is sampled.
+A segment's endpoints are its path's samples at t = 0 and t = 1.  Flatten
+and lift are affine in t, so their membership is certified at their
+endpoints, each operator once.  A lift with V = 0 ends at D itself.
 
 One straightening tail serves every case: frames, :func:`straighten` and
 the path.  Without residual kernel it straightens the lifted operator
@@ -34,7 +33,12 @@ itself; with the forced (1,1)-kernel of kind (-1,-1) it straightens the
 block B = Theta^+ H Theta on the kernel's complement and carries the block
 path back as Theta B(t) Theta^+.  The straightening reads every u_-(t) from
 one eigendecomposition of its logarithm h and certifies all its samples
-with one stacked SVD.
+with one stacked SVD and one stacked class residual.  The straightening
+path b(t) = i(P_+(t) - P_-(t)) is then evaluated once, as a stack of its
+SEGMENT_SAMPLES samples (one batched solve per projection), and checked
+for membership as a stack; the rows at t = 0 and t = 1 are the path's
+start and the terminal, whose J-residual from the same stack serves its
+Sig report.
 """
 
 from __future__ import annotations
@@ -48,15 +52,16 @@ from . import config, numerics, signature, spectral
 from .errors import (DegenerateSubspace, FramePreparationFailed,
                      IncompatibleDimensions, KreinLabError, MembershipError,
                      NotFredholmPair, NotGapped, NotInClass, NotInvariant,
-                     NotLagrangian, PathBlocked, StageError)
+                     NotLagrangian, PathBlocked, SingularMatrix,
+                     StageError)
 from .homotopy import OperatorPath
-from .krein import KreinStructure, require_member
+from .krein import KreinStructure
 from .realsym import (RealStructure, _require_class_member, _unitary_root,
                       antisymmetric_unitary_factor, conj, interleaved_skew,
                       is_member, normalize_krein_pair, standard_skew,
                       symmetric_unitary_sqrt)
 
-SEGMENT_SAMPLES = 9   # membership samples on the straightening segment
+SEGMENT_SAMPLES = 9   # stacked samples of the straightening segment
 
 
 @dataclass
@@ -144,7 +149,8 @@ def _halfplane_projections(part):
 def flat_spectrum_residual(eigs) -> float:
     """Max distance of the eigenvalues ``eigs`` to the set {-i, 0, i}."""
     targets = np.array([-1j, 0.0, 1j])
-    return float(max(np.min(np.abs(targets - l)) for l in eigs))
+    dist = np.abs(np.asarray(eigs)[:, None] - targets)
+    return float(np.max(np.min(dist, axis=1)))
 
 
 def spectral_flatten(h_mat, K: KreinStructure,
@@ -305,19 +311,22 @@ def lift_kernel(flat_segment: PathSegment, K: KreinStructure,
             raise FramePreparationFailed(
                 f"perturbation breaks the real symmetry (residual {sym_res:.3e})")
 
-    def sampler(s):
-        return h_flat + s * pert
-
+    # V = 0 (a (1,1)-kernel of kind (-1,-1)) leaves D in place: the lifted
+    # end is D, whose eigenvalues and projections passed the flat checks
+    moved = bool(pert.any())
     v2 = v_mat @ v_mat
-    lifted = (p_up + left @ (-(v2 + 1j * v_mat) / 2.0) @ right,
-              left @ (np.eye(mult) + v2) @ right,
-              p_dn + left @ (-(v2 - 1j * v_mat) / 2.0) @ right)
+    lifted = flat if not moved else (
+        p_up + left @ (-(v2 + 1j * v_mat) / 2.0) @ right,
+        left @ (np.eye(mult) + v2) @ right,
+        p_dn + left @ (-(v2 - 1j * v_mat) / 2.0) @ right)
+    sampler = (lambda s: h_flat + s * pert) if moved else (lambda s: h_flat)
     seg = _segment("lift", sampler, K, R, lifted)
     kernel = numerics.kernel_frame(seg.end)
     k_dim = kernel.shape[1]
     k_inertia = signature.form_inertia(kernel, K).as_tuple() if k_dim else (0, 0)
     _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia)
-    spectral._flat_partition(seg.end, seg.path.sample(1.0)[1], lifted)
+    if moved:
+        spectral._flat_partition(seg.end, seg.path.sample(1.0)[1], lifted)
     return LiftResult(segment=seg, kernel=kernel, kernel_inertia=k_inertia)
 
 
@@ -344,16 +353,32 @@ def _check_lift_postcondition(kind, n_plus, n_minus, k_dim, k_inertia):
 
 def oblique_projection(phi_range, phi_kernel, K: KreinStructure) -> np.ndarray:
     """P = Phi_r (Phi_k* J Phi_r)^{-1} Phi_k* J, the projection with range
-    span(Phi_r) and kernel the J-orthogonal complement of span(Phi_k)."""
-    cross = phi_kernel.conj().T @ K.apply(phi_range)
-    return phi_range @ np.linalg.solve(cross, phi_kernel.conj().T @ K.J)
+    span(Phi_r) and kernel the J-orthogonal complement of span(Phi_k).
+
+    Either frame may be a stack of frames along a leading axis; the result
+    is then the stack of projections, from one batched solve.  A singular
+    cross matrix Phi_k* J Phi_r raises :class:`SingularMatrix`.
+    """
+    phi_k_star = np.swapaxes(phi_kernel.conj(), -1, -2)
+    cross = phi_k_star @ K.apply(phi_range)
+    rhs = phi_k_star @ K.J
+    # a right-hand side with the batch shape of cross is a stack of
+    # matrices under every numpy's solve (numpy < 2 takes an (n, m) one
+    # against a stacked cross for a stack of vectors)
+    rhs = np.broadcast_to(rhs, cross.shape[:-2] + rhs.shape[-2:])
+    try:
+        return phi_range @ np.linalg.solve(cross, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularMatrix(f"cross matrix Phi_k* J Phi_r: {exc}") from exc
 
 
 def _pair_projections(u_plus, u_minus, K: KreinStructure):
-    """(P_+, P_-) of the Lagrangian pair with frames (u_+-; 1)/sqrt2."""
+    """(P_+, P_-) of the Lagrangian pair with frames (u_+-; 1)/sqrt2;
+    stacked when ``u_minus`` is a stack of unitaries."""
     nn = u_plus.shape[0]
+    eye = np.broadcast_to(np.eye(nn), u_minus.shape)
     phi_p = np.vstack([u_plus, np.eye(nn)]) / np.sqrt(2.0)
-    phi_m = np.vstack([u_minus, np.eye(nn)]) / np.sqrt(2.0)
+    phi_m = np.concatenate([u_minus, eye], axis=-2) / np.sqrt(2.0)
     return (oblique_projection(phi_p, phi_m, K),
             oblique_projection(phi_m, phi_p, K))
 
@@ -445,22 +470,29 @@ class StraightenResult:
     log_generator: np.ndarray          # h with v_t = exp(i((1-t) h + t pi))
     symmetry: str
     certificates: list[float]
-    u_minus_of: object                 # callable t -> u_-(t)
+    u_minus_at: object                 # callable ts -> u_-(t), stacked over ts
 
-    def projections(self, t: float, K: KreinStructure):
-        return _pair_projections(self.u_plus, self.u_minus_of(t), K)
+    def operators(self, ts, K: KreinStructure) -> np.ndarray:
+        """b(t) = i(P_+(t) - P_-(t)) for every t of ``ts``, stacked along the
+        first axis."""
+        p_p, p_m = _pair_projections(self.u_plus, self.u_minus_at(ts), K)
+        return 1j * (p_p - p_m)
 
 
 def _class_residual(u, symmetry, s):
+    """Distance of the unitary u from its straightening class; one residual
+    per matrix when u is a stack."""
     if symmetry == "real-avoiding-1":
-        return numerics.norm(conj(u) - u)
-    if symmetry == "quaternionic-avoiding-1":
-        return numerics.norm(s.T @ conj(u) @ s - u)
-    if symmetry == "symmetric":
-        return numerics.norm(u.T - u)
-    if symmetry == "odd-symmetric":
-        return numerics.norm(u.T + u)
-    return 0.0
+        dev = conj(u) - u
+    elif symmetry == "quaternionic-avoiding-1":
+        dev = s.T @ conj(u) @ s - u
+    elif symmetry == "symmetric":
+        dev = np.swapaxes(u, -1, -2) - u
+    elif symmetry == "odd-symmetric":
+        dev = np.swapaxes(u, -1, -2) + u
+    else:
+        return np.zeros(u.shape[:-2])
+    return np.linalg.norm(dev, axis=(-2, -1))
 
 
 def straighten(u_plus, u_minus, symmetry: str = "none", s=None) -> StraightenResult:
@@ -522,17 +554,14 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None) -> StraightenRes
         phases = np.exp(-1j * ((1.0 - ts) * theta + np.pi * ts))
         return (left * phases[:, None, :]) @ right
 
-    def u_minus_of(tv):
-        return u_minus_at([tv])[0]
-
     def certify(samples):
         ts = np.linspace(0.0, 1.0, samples)
         u_ms = u_minus_at(ts)
-        for tv, um in zip(ts, u_ms):
-            res = _class_residual(um, symmetry, s)
-            if res > 1e-7:
-                raise PathBlocked(
-                    f"class residual {res:.3e} at t={tv:.3f}")
+        res = _class_residual(u_ms, symmetry, s)
+        over = np.flatnonzero(res > 1e-7)
+        if over.size:
+            k = over[0]
+            raise PathBlocked(f"class residual {res[k]:.3e} at t={ts[k]:.3f}")
         gaps = u_ms.conj().transpose(0, 2, 1) @ u_plus - np.eye(nn)
         return np.linalg.svd(gaps, compute_uv=False)[:, -1].tolist()
 
@@ -542,11 +571,11 @@ def straighten(u_plus, u_minus, symmetry: str = "none", s=None) -> StraightenRes
         if min(certs) <= config.DEFAULT.fredholm_cert:
             raise PathBlocked(
                 f"certificate fell to {min(certs):.3e} along the path")
-    res_end = numerics.norm(u_minus_of(1.0) + u_plus)
+    res_end = numerics.norm(u_minus_at([1.0])[0] + u_plus)
     if res_end > 1e-8:
         raise PathBlocked(f"endpoint is not (u, -u): residual {res_end:.3e}")
     return StraightenResult(u_plus=u_plus, log_generator=h, symmetry=symmetry,
-                            certificates=certs, u_minus_of=u_minus_of)
+                            certificates=certs, u_minus_at=u_minus_at)
 
 
 # ----------------------------------------------------------------- pipeline
@@ -613,12 +642,19 @@ def retract_to_model(h_mat, K: KreinStructure,
     except KreinLabError as exc:
         raise StageError("straighten", exc) from exc
 
-    def sampler(tv):
-        p_p, p_m = res.projections(tv, K_blk)
-        b = 1j * (p_p - p_m)
+    def operators(ts):
+        """The straightening path at every t of ``ts``, stacked."""
+        b = res.operators(ts, K_blk)
         return b if carry is None else carry[0] @ b @ carry[1]
 
-    seg_straight = _segment("straighten", sampler, K, R)
+    ts = np.linspace(0.0, 1.0, SEGMENT_SAMPLES)
+    try:
+        stack = operators(ts)
+    except SingularMatrix as exc:
+        raise StageError("final", exc) from exc
+    seg_straight = _segment("straighten", lambda tv: operators([tv])[0], K, R)
+    seg_straight.path.store(0.0, stack[0])
+    seg_straight.path.store(1.0, stack[-1])
     segments = [seg_flat, lift.segment, seg_straight]
 
     # the lift starts at D + 0 pert, so only the straightening can leave a gap
@@ -630,32 +666,37 @@ def retract_to_model(h_mat, K: KreinStructure,
     # norms of expressions linear in H, hence convex in t: their endpoints
     # bound every interior residual.  H passed its class check above and D
     # ends the flatten and starts the lift, whose end is new only where the
-    # lift moved D (not when D has no kernel).
+    # lift moved D (not when D has no kernel).  The straightening is
+    # checked at its stacked samples.
     ends = [seg_flat] + [lift.segment] * (
         not np.array_equal(lift.segment.end, seg_flat.end))
-    worst_membership = max([member.residual] + [
+    j_res, class_res = _hermitian_residuals(stack, K, R)
+    worst_membership = max([member.residual, float(np.max(class_res))] + [
         seg.path.membership_residual(1.0) for seg in ends])
     if worst_membership > t.path_membership:
         raise MembershipError(f"path membership residual {worst_membership:.3e}"
                               f" exceeds {t.path_membership:.1e}",
                               residual=worst_membership)
-    worst_membership = max(worst_membership, seg_straight.path.verify_membership(
-        n_samples=SEGMENT_SAMPLES))
     terminal, terminal_eigs = seg_straight.path.sample(1.0)
     spec_res = flat_spectrum_residual(terminal_eigs)
     if spec_res > t.terminal_spectrum:
         raise StageError("final", NotInvariant(
             f"terminal spectrum off {{-i,0,i}} by {spec_res:.3e}"))
-    member = require_member(terminal, K, "hermitian")
+    # the terminal's J-residual, held to the bound of a single operator
+    terminal_j_res = float(j_res[-1])
+    if terminal_j_res > t.membership:
+        raise MembershipError(
+            f"operator is not J-hermitian (residual {terminal_j_res:.3e})",
+            residual=terminal_j_res)
     sig_terminal = signature.invariant_report(
         spectral.flat_partition(terminal, eigs=terminal_eigs), K,
-        member.residual).global_sig
+        terminal_j_res).global_sig
     if sig_terminal != sig_initial:
         raise StageError("final", NotInvariant(
             f"Sig changed along the retraction: {sig_initial} -> {sig_terminal}"))
     a_block = res.u_plus.conj().T
     sym_res = (None if kind is None else
-               _class_residual(a_block, symmetry, s_arg))
+               float(_class_residual(a_block, symmetry, s_arg)))
     if sym_res is not None and sym_res > t.terminal_symmetry:
         raise StageError("final", NotInClass(
             f"terminal block class residual {sym_res:.3e}"))
@@ -668,6 +709,18 @@ def retract_to_model(h_mat, K: KreinStructure,
         kernel_inertia=lift.kernel_inertia,
         sig_initial=sig_initial, sig_terminal=sig_terminal,
         membership_max_residual=worst_membership, chain_max_gap=chain_gap)
+
+
+def _hermitian_residuals(ops, K: KreinStructure, R: RealStructure | None):
+    """J-hermitian residuals ||B* J - J B|| of a stack of operators B, and
+    their class residuals: with a real structure the larger of that and
+    ||S^t conj(B) S + B||, as :func:`realsym.is_member` gives for each B."""
+    j_res = np.linalg.norm(np.swapaxes(ops.conj(), 1, 2) @ K.J - K.apply(ops),
+                           axis=(1, 2))
+    if R is None:
+        return j_res, j_res
+    sym = np.linalg.norm(R.S.T @ conj(ops) @ R.S + ops, axis=(1, 2))
+    return j_res, np.maximum(j_res, sym)
 
 
 def _kernel_complement(lift: LiftResult, K: KreinStructure, R: RealStructure):

@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from kreinlab import homotopy, krein, realsym, retraction, spectral
+from kreinlab import homotopy, krein, numerics, realsym, retraction, spectral
 
 
 def count_outer_calls(monkeypatch, functions, first_arg=None) -> dict:
@@ -68,6 +68,24 @@ def test_retraction_partitions_h_once(monkeypatch):
     assert trace.sig_initial == trace.sig_terminal == 0
 
 
+def record_stacks(monkeypatch) -> list:
+    """Record the parameters of every stacked evaluation of a straightening
+    path, one list per stack."""
+    stacks = []
+    operators = retraction.StraightenResult.operators
+
+    def recorded(res, ts, K):
+        stacks.append([float(t) for t in ts])
+        return operators(res, ts, K)
+
+    monkeypatch.setattr(retraction.StraightenResult, "operators", recorded)
+    return stacks
+
+
+SEGMENT_GRID = [float(t) for t in
+                np.linspace(0.0, 1.0, retraction.SEGMENT_SAMPLES)]
+
+
 @pytest.mark.parametrize("kind, m", [(None, 2), ((1, -1), 3), ((-1, -1), 3)])
 def test_retraction_path_membership_samples(monkeypatch, kind, m):
     K = krein.make_standard(m, m)
@@ -84,31 +102,33 @@ def test_retraction_path_membership_samples(monkeypatch, kind, m):
         return residual(path, t)
 
     monkeypatch.setattr(homotopy.OperatorPath, "membership_residual", counted)
+    stacks = record_stacks(monkeypatch)
     trace = retraction.retract_to_model(h, K, R)
     # the affine flatten and lift segments are certified at their ends: H
     # passed its class check and D ends the flatten, so only the lift's end
     # is sampled besides, where the lift moved D; the straightening segment
-    # is sampled at SEGMENT_SAMPLES points
+    # is evaluated once, as one stack of SEGMENT_SAMPLES parameters, and
+    # checked on that stack
     flat, lift, straight = trace.segments
     moved = not np.array_equal(lift.end, flat.end)
     affine = ["flatten"] + ["lift"] * moved
-    assert [name for name, _ in samples] == \
-        affine + [straight.path.name] * retraction.SEGMENT_SAMPLES
-    assert [t for name, t in samples if name != straight.path.name] == \
-        [1.0] * len(affine)
+    assert [name for name, _ in samples] == affine
+    assert [t for _, t in samples] == [1.0] * len(affine)
+    assert stacks == [SEGMENT_GRID]
 
 
 @pytest.mark.parametrize("kind, m, moved, checks",
-                         [(None, 2, True, 14), ((-1, -1), 3, False, 14)],
+                         [(None, 2, True, 4), ((-1, -1), 3, False, 4)],
                          ids=("plain", "kernel"))
 def test_retraction_membership_checks_per_operator(monkeypatch, kind, m,
                                                    moved, checks):
     """Membership checks of one retraction, matched to the operators by
     value: H once, the flattened D twice (the lift stage's entry check and
-    the flatten end), the lifted end once when the lift moved D, the
-    straightening samples and the terminal's Sig report.  The forced
-    (1,1)-kernel of kind (-1,-1) at m = 3 is left in place by a zero V and
-    adds the check of its complement block."""
+    the flatten end), and the lifted end once when the lift moved D.  The
+    straightening's samples, the terminal among them, are checked as one
+    stack outside the single-operator predicates.  The forced (1,1)-kernel
+    of kind (-1,-1) at m = 3 is left in place by a zero V and adds the
+    check of its complement block."""
     K = krein.make_standard(m, m)
     if kind is None:
         R, h = None, krein.random_j_hermitian(K, 5)
@@ -117,6 +137,7 @@ def test_retraction_membership_checks_per_operator(monkeypatch, kind, m,
         h = realsym.random_member(R, "hermitian", 5)
     counter = count_outer_calls(monkeypatch, [krein.is_j_hermitian,
                                               realsym.is_member])
+    stacks = record_stacks(monkeypatch)
     trace = retraction.retract_to_model(h, K, R)
     flat, lift, _ = trace.segments
     checked = counter["args"]
@@ -129,12 +150,15 @@ def test_retraction_membership_checks_per_operator(monkeypatch, kind, m,
     assert moved == (not np.array_equal(lift.end, flat.end))
     if moved:
         assert times(lift.end) == 1
+    assert times(trace.terminal) == 0
     assert counter["calls"] == checks
+    assert stacks == [SEGMENT_GRID]
 
 
 @pytest.mark.parametrize("kind, m", [(None, 2), ((1, -1), 3), ((-1, -1), 3)])
 def test_retraction_samples_each_path_once_per_t(monkeypatch, kind, m):
-    # the straightening segment's start is its first membership sample
+    # the straightening segment is evaluated once, as a stack whose first
+    # and last rows are its start and the terminal; its sampler is not called
     K = krein.make_standard(m, m)
     if kind is None:
         R, h = None, krein.random_j_hermitian(K, 5)
@@ -149,9 +173,30 @@ def test_retraction_samples_each_path_once_per_t(monkeypatch, kind, m):
         return call(path, t)
 
     monkeypatch.setattr(homotopy.OperatorPath, "__call__", counted)
+    stacks = record_stacks(monkeypatch)
     trace = retraction.retract_to_model(h, K, R)
+    straight = trace.segments[2]
     assert len(samples) == len(set(samples))
-    assert (id(trace.segments[2].path), 0.0) in samples
+    assert all(pid != id(straight.path) for pid, _ in samples)
+    assert stacks == [SEGMENT_GRID]
+    assert straight.start.base is not None
+    assert straight.start.base is trace.terminal.base
+
+
+def test_lift_with_zero_v_reuses_the_flat_checks(monkeypatch):
+    """Kind (-1,-1) with a (1,1)-kernel: V = 0, so the lifted end is D and
+    the lift takes neither new eigenvalues nor a second flat partition."""
+    R = realsym.make_real_structure((-1, -1), 3, 3)
+    h = realsym.random_member(R, "hermitian", 5)
+    seg = retraction.spectral_flatten(h, R.K, R)
+    eigvals = count_outer_calls(monkeypatch, [numerics.eigvals])
+    flat = count_outer_calls(monkeypatch, [spectral._flat_partition])
+    lift = retraction.lift_kernel(seg, R.K, R)
+    assert lift.kernel_dim == 2 and lift.kernel_inertia == (1, 1)
+    assert lift.segment.end is seg.end
+    assert lift.segment.projections is seg.projections
+    assert eigvals["calls"] == 0
+    assert flat["calls"] == 1
 
 
 def test_retraction_checks_h_membership_once(monkeypatch):

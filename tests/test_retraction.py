@@ -7,8 +7,10 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from kreinlab import fileio, krein, numerics, retraction, signature, spectral
-from kreinlab.errors import IncompatibleDimensions, NotGapped, NotInClass
+from kreinlab import (cli, config, fileio, krein, numerics, realsym,
+                      retraction, signature, spectral)
+from kreinlab.errors import (IncompatibleDimensions, MembershipError, NotGapped,
+                             NotInClass, SingularMatrix, StageError)
 from kreinlab.realsym import (antisymmetric_unitary_factor, interleaved_skew,
                               make_real_structure, random_member, standard_skew,
                               symmetric_unitary_sqrt)
@@ -164,8 +166,8 @@ def test_factorize_errors():
 def test_straighten_terminal_pair():
     frames_u = np.array([[1.0]], dtype=complex)
     res = retraction.straighten(frames_u, -frames_u)
-    np.testing.assert_allclose(res.u_minus_of(0.0), -frames_u, atol=1e-12)
-    np.testing.assert_allclose(res.u_minus_of(1.0), -frames_u, atol=1e-12)
+    np.testing.assert_allclose(res.u_minus_at([0.0, 1.0]),
+                               [-frames_u, -frames_u], atol=1e-12)
 
 
 def test_straighten_generic_endpoint_orthogonal():
@@ -178,11 +180,12 @@ def test_straighten_generic_endpoint_orthogonal():
         u_m = -u_m
     K = krein.make_standard(3, 3)
     res = retraction.straighten(u_p, u_m)
-    p_p, p_m = res.projections(1.0, K)
+    u_end = res.u_minus_at([1.0])[0]
+    p_p, p_m = retraction._pair_projections(u_p, u_end, K)
     assert numerics.norm(p_p - p_p.conj().T) <= 1e-8
     assert numerics.norm(p_m - p_m.conj().T) <= 1e-8
     assert min(res.certificates) > 1e-8
-    np.testing.assert_allclose(res.u_minus_of(1.0), -u_p, atol=1e-9)
+    np.testing.assert_allclose(u_end, -u_p, atol=1e-9)
 
 
 def lagrangian_pair(kind, m, seed):
@@ -226,13 +229,13 @@ def test_straighten_stacked_certificates_match_expm_loop(kind):
         ts = np.linspace(0.0, 1.0, len(res.certificates))
         assert len(ts) in (retraction.CERT_SAMPLES, 2 * retraction.CERT_SAMPLES)
         want = []
-        for tv in ts:
+        for tv, stacked in zip(ts, res.u_minus_at(ts)):
             um = reference_u_minus(res, tv)
-            assert numerics.norm(res.u_minus_of(tv) - um) <= 1e-12
+            assert numerics.norm(stacked - um) <= 1e-12
             want.append(np.linalg.svd(um.conj().T @ u_p - np.eye(m),
                                       compute_uv=False)[-1])
         np.testing.assert_allclose(res.certificates, want, rtol=0, atol=1e-12)
-        assert numerics.norm(res.u_minus_of(0.0) - u_m) <= 1e-12
+        assert numerics.norm(res.u_minus_at([0.0])[0] - u_m) <= 1e-12
 
 
 def test_retract_skew_pair_is_fixed_point():
@@ -390,3 +393,142 @@ def test_retract_programming_error_propagates(monkeypatch):
     K = krein.make_standard(1, 1)
     with pytest.raises(TypeError, match="injected"):
         retraction.retract_to_model(K.J, K)
+
+
+CLASS_SIZES = [(kind, m) for kind in (None,) + ALL_KINDS
+               for m in ((2, 4, 6) if kind == (-1, 1) else (2, 3, 4, 5, 6))]
+
+
+def record_residuals(monkeypatch) -> list:
+    """Record (stack, J-residuals, class residuals) of every stacked
+    membership check of a straightening path."""
+    seen = []
+    residuals = retraction._hermitian_residuals
+
+    def recorded(ops, K, R):
+        j_res, class_res = residuals(ops, K, R)
+        seen.append((ops, j_res, class_res))
+        return j_res, class_res
+
+    monkeypatch.setattr(retraction, "_hermitian_residuals", recorded)
+    return seen
+
+
+@pytest.mark.parametrize("kind, m", CLASS_SIZES)
+def test_straightening_stack_matches_path_samples(monkeypatch, kind, m):
+    """The stacked straightening samples agree with the path evaluated one
+    t at a time and with its own membership check (kind (-1,-1) at odd m
+    takes the forced-kernel branch)."""
+    K = krein.make_standard(m, m)
+    R = None if kind is None else make_real_structure(kind, m, m)
+    h = (krein.random_j_hermitian(K, 30 + m) if kind is None
+         else random_member(R, "hermitian", 30 + m))
+    seen = record_residuals(monkeypatch)
+    trace = retraction.retract_to_model(h, K, R)
+    assert trace.kernel_dim_after_lift == (2 if kind == (-1, -1) and m % 2
+                                           else 0)
+    (ops, j_res, class_res), = seen
+    path = trace.segments[2].path
+    ts = np.linspace(0.0, 1.0, retraction.SEGMENT_SAMPLES)
+    assert len(ops) == len(ts)
+    for k, tv in enumerate(ts):
+        fresh = path(tv)
+        assert np.max(np.abs(ops[k] - fresh)) <= 1e-13
+        assert abs(j_res[k] - krein.is_j_hermitian(fresh, K).residual) <= 1e-14
+        assert abs(class_res[k] - realsym._class_membership(
+            fresh, K, R, "hermitian").residual) <= 1e-14
+    worst = path.verify_membership(n_samples=retraction.SEGMENT_SAMPLES)
+    assert abs(float(np.max(class_res)) - worst) <= 1e-14
+    assert trace.terminal is path.matrix(1.0)
+    assert np.array_equal(trace.terminal, ops[-1])
+
+
+def broken_stack(monkeypatch, rows, size):
+    """Add a non-J-hermitian upper triangle of entries ``size`` to the given
+    rows of every straightening stack."""
+    operators = retraction.StraightenResult.operators
+
+    def broken(res, ts, K):
+        ops = operators(res, ts, K).copy()
+        ops[rows] += size * np.triu(np.ones(ops.shape[1:]))
+        return ops
+
+    monkeypatch.setattr(retraction.StraightenResult, "operators", broken)
+
+
+def test_straightening_stack_off_class_raises(monkeypatch):
+    # interior samples off the class; the ends still chain
+    K = krein.make_standard(2, 2)
+    broken_stack(monkeypatch, slice(1, -1), 1e-3)
+    with pytest.raises(MembershipError, match="path membership") as info:
+        retraction.retract_to_model(krein.random_j_hermitian(K, 5), K)
+    assert info.value.residual > config.DEFAULT.path_membership
+
+
+def test_terminal_held_to_the_membership_bound(monkeypatch):
+    """A terminal within the path bound (1e-7) but off the single-operator
+    bound (1e-8) fails its J-membership check."""
+    K = krein.make_standard(2, 2)
+    broken_stack(monkeypatch, -1, 1e-8)
+    with pytest.raises(MembershipError, match="not J-hermitian") as info:
+        retraction.retract_to_model(krein.random_j_hermitian(K, 5), K)
+    assert 1e-8 < info.value.residual <= config.DEFAULT.path_membership
+
+
+def test_oblique_projection_singular_cross_matrix():
+    # a J-neutral frame has a zero cross matrix with itself
+    K = krein.make_standard(1, 1)
+    phi = np.array([[1.0], [1.0]])
+    with pytest.raises(SingularMatrix):
+        retraction.oblique_projection(phi, phi, K)
+    with pytest.raises(SingularMatrix):
+        retraction.oblique_projection(phi, np.stack([phi, 2.0 * phi]), K)
+
+
+def test_stacked_projections_solve_matrix_right_hand_sides(monkeypatch):
+    """Each batched solve of the stacked pair projections gets a right-hand
+    side with the batch shape of its cross matrices, which numpy's solve
+    takes for a stack of matrices in every version (numpy < 2 reads a 2-D b
+    against a 3-D a as a stack of vectors)."""
+    shapes = []
+    solve = np.linalg.solve
+
+    def recorded(a, b):
+        shapes.append((np.shape(a), np.shape(b)))
+        return solve(a, b)
+
+    u_p, u_m, _, _ = lagrangian_pair(None, 3, 1)
+    res = retraction.straighten(u_p, u_m)
+    K = krein.make_standard(3, 3)
+    ts = np.linspace(0.0, 1.0, retraction.SEGMENT_SAMPLES)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    stack = res.operators(ts, K)
+    assert shapes == [((len(ts), 3, 3), (len(ts), 3, 6))] * 2
+    monkeypatch.undo()
+    for tv, b in zip(ts, stack):
+        p_p, p_m = retraction._pair_projections(u_p, res.u_minus_at([tv])[0], K)
+        assert np.max(np.abs(b - 1j * (p_p - p_m))) <= 1e-13
+
+
+def test_singular_straightening_stack_is_a_final_stage_error(monkeypatch,
+                                                             tmp_path, capsys):
+    """LAPACK's singular verdict in the batched solve of the straightening
+    stack (the only stacked solve of a retraction) is a typed error of the
+    final checks, and ``retract`` exits with the retraction code."""
+    solve = np.linalg.solve
+
+    def singular_stack(a, b):
+        if np.ndim(a) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(a, b)
+
+    K = krein.make_standard(2, 2)
+    h = krein.random_j_hermitian(K, 5)
+    fileio.write_matrix_file(tmp_path / "h.json", h, K)
+    monkeypatch.setattr(np.linalg, "solve", singular_stack)
+    with pytest.raises(StageError) as info:
+        retraction.retract_to_model(h, K)
+    assert info.value.stage == "final"
+    assert isinstance(info.value.cause, SingularMatrix)
+    assert cli.main(["retract", str(tmp_path / "h.json")]) == cli.EXIT_RETRACTION
+    assert "stage 'final'" in capsys.readouterr().err
