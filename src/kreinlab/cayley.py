@@ -117,8 +117,9 @@ def pick_zeta(eigs) -> complex:
 @dataclass
 class TransportReport:
     """Invariant reports for H and C(H) with clusters matched through the
-    scalar map."""
+    scalar map; ``unitary`` is C(H)."""
 
+    unitary: np.ndarray
     hermitian_report: signature.InvariantReport
     unitary_report: signature.InvariantReport
     inertia_equal: bool
@@ -156,6 +157,7 @@ def transport_report(h_mat, K: KreinStructure,
         matches.append((i, best))
     inertia_equal = all(
         rep_h.rows[i].nu == rep_t.rows[j].nu for i, j in matches)
-    return TransportReport(hermitian_report=rep_h, unitary_report=rep_t,
+    return TransportReport(unitary=t_op, hermitian_report=rep_h,
+                           unitary_report=rep_t,
                            inertia_equal=inertia_equal,
                            sig_equal=rep_h.global_sig == rep_t.global_sig)

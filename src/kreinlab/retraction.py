@@ -18,9 +18,12 @@ lower-left block in the J-grading is the terminal Fredholm block A = u*,
 whose symmetry class is forced by the kind: real for (1,1), anti-symmetric
 for (-1,-1), quaternionic for (-1,1), symmetric for (1,-1).
 
-Only the input H is partitioned by contour quadrature.  The flattened
-operator D = i(P_+ - P_-) carries H's projections and the lifted one D's,
-moved by the lift's exactly flat V; each passes the checks of
+The input H is split from one eigendecomposition: P_+- from the
+eigenvectors of the half-planes, P_0 = 1 - P_+ - P_-, and Sig(H) from J on
+range P_0 (:func:`_halfplane_split`); only where the eigenvectors cannot
+decide is H partitioned by contour quadrature.  The flattened operator D,
+the member part of i(P_+ - P_-), carries H's projections and the lifted
+one D's, moved by the lift's exactly flat V; each passes the checks of
 :func:`spectral.flat_partition`.  Only the terminal, whose projections are
 orthogonal, takes Lagrange interpolants, for its independent Sig check.
 A segment's endpoints are its path's samples at t = 0 and t = 1.  Flatten
@@ -49,17 +52,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import config, numerics, signature, spectral
-from .errors import (DegenerateSubspace, FramePreparationFailed,
-                     IncompatibleDimensions, KreinLabError, MembershipError,
+from .errors import (DegenerateForm, DegenerateSubspace,
+                     FramePreparationFailed, IncompatibleDimensions,
+                     KreinLabError, MembershipError, NoSeparatingContour,
                      NotFredholmPair, NotGapped, NotInClass, NotInvariant,
-                     NotLagrangian, PathBlocked, SingularMatrix,
-                     StageError)
+                     NotLagrangian, PathBlocked, SingularMatrix, StageError)
 from .homotopy import OperatorPath
 from .krein import KreinStructure
 from .realsym import (RealStructure, _require_class_member, _unitary_root,
                       antisymmetric_unitary_factor, conj, interleaved_skew,
                       is_member, normalize_krein_pair, standard_skew,
-                      symmetric_unitary_sqrt)
+                      symmetric_unitary_sqrt, symmetrize_hermitian)
 
 SEGMENT_SAMPLES = 9   # stacked samples of the straightening segment
 
@@ -153,6 +156,82 @@ def flat_spectrum_residual(eigs) -> float:
     return float(np.max(np.min(dist, axis=1)))
 
 
+def _halfplane_split(h_mat, K: KreinStructure | None = None):
+    """(P_+, P_0, P_-) of a J-hermitian H and, given ``K``, Sig(H).
+
+    One eigendecomposition H X = X diag(lam) gives
+    P_+- = X[:, S_+-] X^-1[S_+-, :] over the eigenvalues of the upper and
+    lower half-plane, and P_0 = 1 - P_+ - P_-, so no eigenvector of a real
+    eigenvalue is read and a Jordan block on the axis does no harm.  Sig(H)
+    is the inertia of J on range P_0: the spectral subspaces of distinct
+    real eigenvalues are J-orthogonal and each is J-nondegenerate, so that
+    inertia is the sum of the per-cluster inertias that
+    :func:`signature.invariant_report` adds.
+
+    Where the eigenvectors cannot decide, H takes the hermitian-tagged
+    :func:`spectral.spectral_partition` instead (its errors, its
+    projections summed by region, and Sig by the report's rule): an
+    eigenvalue in the ambiguity zone, a cluster straddling regions or
+    without a separating circle, a singular X, a projection with norm over
+    :data:`spectral.EIGENVECTOR_PROJECTION_MAX_NORM` or failing the
+    partition's idempotency, commutation or trace checks, or a degenerate
+    form on range P_0.
+    """
+    split = _eigenvector_split(h_mat, K)
+    if split is not None:
+        return split
+    part = spectral.spectral_partition(h_mat, "hermitian")
+    sig = None if K is None else \
+        sum(signature.inertia(c, K).sig for c in part.clusters)
+    return _halfplane_projections(part), sig
+
+
+def _eigenvector_split(h_mat, K):
+    """:func:`_halfplane_split` from the eigenvectors, or None where it
+    falls back to the partition."""
+    t = config.DEFAULT
+    eigs, vecs = numerics.eig(h_mat)
+    dist = np.abs(eigs.imag)
+    if np.any((dist > t.eps_region) & (dist <= t.ambiguous_factor * t.eps_region)):
+        return None
+    region = np.sign(eigs.imag) * (dist > t.eps_region)   # +1, 0 (axis), -1
+    delta = spectral.default_delta(eigs)
+    for idx in spectral.cluster_eigenvalues(eigs, delta):
+        if np.ptp(region[idx]):
+            return None
+        try:
+            spectral._separating_circle(eigs[idx], np.delete(eigs, idx), delta)
+        except NoSeparatingContour:
+            return None
+    inverse = spectral._inverse(vecs)
+    if inverse is None:
+        return None
+    up, dn = region > 0, region < 0
+    p_up = vecs[:, up] @ inverse[up, :]
+    p_dn = vecs[:, dn] @ inverse[dn, :]
+    p_re = np.eye(h_mat.shape[0]) - p_up - p_dn
+    ps = np.stack([p_up, p_re, p_dn])
+    counts = np.array([up.sum(), (region == 0).sum(), dn.sum()])
+    size = np.linalg.norm(ps, axis=(1, 2)).max()
+    idem = np.linalg.norm(ps @ ps - ps, axis=(1, 2)).max()
+    comm = np.linalg.norm(ps @ h_mat - h_mat @ ps, axis=(1, 2)).max()
+    rank = np.abs(np.trace(ps, axis1=1, axis2=2) - counts).max()
+    if (size > spectral.EIGENVECTOR_PROJECTION_MAX_NORM or idem > t.riesz
+            or comm > t.riesz * max(numerics.norm(h_mat), 1.0)
+            or rank > t.riesz_trace):
+        return None
+    projections = (p_up, p_re, p_dn)
+    if K is None:
+        return projections, None
+    if not counts[1]:
+        return projections, 0
+    try:
+        frame = numerics.range_frame(p_re, counts[1])
+        return projections, signature.form_inertia(frame, K).sig
+    except DegenerateForm:
+        return None
+
+
 def spectral_flatten(h_mat, K: KreinStructure,
                      R: RealStructure | None = None) -> PathSegment:
     """Deform H to spectrum inside {-i, 0, i} along
@@ -160,16 +239,19 @@ def spectral_flatten(h_mat, K: KreinStructure,
     h_mat = numerics.as_matrix(h_mat, square=True, name="H")
     K.check_dim(h_mat)
     _require_class_member(h_mat, K, R, "hermitian")
-    return _flatten(h_mat, spectral.spectral_partition(h_mat, "hermitian"),
-                    K, R)
+    return _flatten(h_mat, _halfplane_split(h_mat)[0], K, R)
 
 
-def _flatten(h_mat, part, K, R) -> PathSegment:
-    """The flatten segment of a member H from its hermitian-tagged partition,
-    carrying H's projections; its path's sample at t = 1 holds the
-    eigenvalues of the endpoint."""
-    projections = _halfplane_projections(part)
+def _flatten(h_mat, projections, K, R) -> PathSegment:
+    """The flatten segment of a member H from its projections (P_+, P_0, P_-),
+    which it carries; its path's sample at t = 1 holds the eigenvalues of
+    the endpoint.  The endpoint is the member part of i(P_+ - P_-): its
+    J-hermitian part and then, with ``R``, its real-symmetric part, so it is
+    a member to rounding however accurate the projections are."""
     d_op = 1j * (projections[0] - projections[2])
+    d_op = (d_op + np.outer(K.signs, K.signs) * d_op.conj().T) / 2.0
+    if R is not None:
+        d_op = symmetrize_hermitian(d_op, R)
 
     def sampler(s):
         return (1.0 - s) * h_mat + s * d_op
@@ -612,11 +694,10 @@ def retract_to_model(h_mat, K: KreinStructure,
     K.check_dim(h_mat)
     kind = R.kind.as_tuple() if R is not None else None
     member = _require_class_member(h_mat, K, R, "hermitian")
-    part = spectral.spectral_partition(h_mat, "hermitian")
-    sig_initial = signature.invariant_report(part, K, member.residual).global_sig
+    projections, sig_initial = _halfplane_split(h_mat, K)
 
     try:
-        seg_flat = _flatten(h_mat, part, K, R)
+        seg_flat = _flatten(h_mat, projections, K, R)
     except KreinLabError as exc:
         raise StageError("flatten", exc) from exc
     try:

@@ -140,7 +140,7 @@ def suite_cayley(n: int = 50, seed: int = 0) -> dict:
         h = random_j_hermitian(K, rng.integers(2 ** 63))
         try:
             rep = transport_report(h, K)
-            t_op = cayley_op(h, K)
+            t_op = rep.unitary
             p = CayleyParams(zeta=pick_zeta(numerics.eigvals(t_op)))
             back = cayley_op(cayley_inv_op(t_op, K, p), K, p)
         except KreinLabError as exc:

@@ -125,6 +125,7 @@ def test_transport_random():
         h = krein.random_j_hermitian(K, seed)
         rep = cayley.transport_report(h, K)
         assert rep.sig_equal and rep.inertia_equal
+        assert np.array_equal(rep.unitary, cayley.cayley_op(h, K))
 
 
 def test_real_symmetry_compatibility():

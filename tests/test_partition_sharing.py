@@ -1,11 +1,15 @@
 """Each operator is partitioned once and checked for membership once."""
 
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from kreinlab import homotopy, krein, numerics, realsym, retraction, spectral
+from kreinlab import (fileio, homotopy, krein, numerics, realsym, retraction,
+                      spectral)
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def count_outer_calls(monkeypatch, functions, first_arg=None) -> dict:
@@ -60,11 +64,18 @@ def test_retraction_partitions_h_once(monkeypatch):
     partitions = count_outer_calls(monkeypatch, [spectral.spectral_partition])
     flat = count_outer_calls(monkeypatch, [spectral.flat_partition])
     trace = retraction.retract_to_model(h, K)
-    # quadrature only for H (shared by Sig and flatten); the flat and the
-    # lifted operators carry projections, and only the terminal is
-    # partitioned by interpolation
-    assert partitions["calls"] == 1
+    # H is split from its eigenvectors (shared by Sig and flatten), with no
+    # quadrature; the flat and the lifted operators carry projections, and
+    # only the terminal is partitioned by interpolation
+    assert partitions["calls"] == 0
     assert flat["calls"] == 1
+    assert trace.sig_initial == trace.sig_terminal == 0
+    # a conjugate pair near the axis: ||P_+-|| over the eigenvector bound,
+    # so H takes the one quadrature partition
+    mf = fileio.read_matrix_file(DATA / "retract_fallback_u_m2.json")
+    trace = retraction.retract_to_model(mf.matrix, mf.K)
+    assert partitions["calls"] == 1
+    assert flat["calls"] == 2
     assert trace.sig_initial == trace.sig_terminal == 0
 
 

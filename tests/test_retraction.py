@@ -9,8 +9,9 @@ import scipy.linalg as sla
 
 from kreinlab import (cli, config, fileio, krein, numerics, realsym,
                       retraction, signature, spectral)
-from kreinlab.errors import (IncompatibleDimensions, MembershipError, NotGapped,
-                             NotInClass, SingularMatrix, StageError)
+from kreinlab.errors import (AmbiguousClassification, IncompatibleDimensions,
+                             MembershipError, NotGapped, NotInClass,
+                             SingularMatrix, StageError)
 from kreinlab.realsym import (antisymmetric_unitary_factor, interleaved_skew,
                               make_real_structure, random_member, standard_skew,
                               symmetric_unitary_sqrt)
@@ -295,6 +296,94 @@ def test_retract_stored_members(name, terminal_class):
     assert trace.terminal_spectrum_residual <= 1e-6
     if mf.R is not None:
         assert trace.terminal_symmetry_residual <= 1e-8
+
+
+def near_collision_member(eps):
+    """A member of U(2,2) whose Krein collision on the (e1, e3) block has
+    split into a conjugate pair ``eps`` off the real axis, beside the real
+    eigenvalues 0.4 and -1.3, moved by a J-unitary similarity."""
+    K = krein.make_standard(2, 2)
+    a = np.diag([0.7, 0.4, 2.0 * np.sqrt(1.0 - eps ** 2) - 0.7, 1.3])
+    a[0, 2] = a[2, 0] = 1.0
+    g = krein.random_j_unitary(K, 1826701615)
+    return g @ K.J @ a @ np.linalg.inv(g), K
+
+
+@pytest.mark.parametrize("kind, m", [
+    (kind, m) for kind in (None,) + ALL_KINDS
+    for m in ((2, 4, 6) if kind == (-1, 1) else (2, 3, 4, 5, 6))])
+def test_eigenvector_split_matches_the_partition(kind, m):
+    """(P_+, P_0, P_-) from one eigendecomposition agree with the half-plane
+    sums of the quadrature partition, and the inertia of J on range P_0
+    with the report's sum over the real-axis clusters."""
+    K = krein.make_standard(m, m)
+    R = None if kind is None else make_real_structure(kind, m, m)
+    for seed in range(3):
+        h = (krein.random_j_hermitian(K, seed) if kind is None
+             else random_member(R, "hermitian", seed))
+        split = retraction._eigenvector_split(h, K)
+        assert split is not None
+        projections, sig = split
+        part = spectral.spectral_partition(h, "hermitian")
+        for p, q in zip(projections, retraction._halfplane_projections(part)):
+            assert numerics.norm(p - q) <= 1e-10
+        assert sig == signature.invariant_report(part, K, 0.0).global_sig
+        assert retraction._halfplane_split(h)[1] is None
+
+
+def test_near_collision_member_takes_the_partition():
+    """A conjugate pair 1e-2 off the axis (``near_collision_member(1e-2)``)
+    makes ||P_+-|| about 130, over the eigenvector bound: H takes the
+    quadrature partition and retracts with the integers it gives."""
+    mf = fileio.read_matrix_file(DATA / "retract_fallback_u_m2.json")
+    assert retraction._eigenvector_split(mf.matrix, mf.K) is None
+    eigs, vecs = numerics.eig(mf.matrix)
+    up = eigs.imag > 1e-6
+    assert numerics.norm(vecs[:, up] @ np.linalg.inv(vecs)[up, :]) > \
+        spectral.EIGENVECTOR_PROJECTION_MAX_NORM
+    split, sig = retraction._halfplane_split(mf.matrix, mf.K)
+    part = spectral.spectral_partition(mf.matrix, "hermitian")
+    for p, q in zip(split, retraction._halfplane_projections(part)):
+        assert np.array_equal(p, q)
+    assert sig == signature.invariant_report(part, mf.K, 0.0).global_sig == 0
+    trace = retraction.retract_to_model(mf.matrix, mf.K)
+    assert trace.sig_initial == trace.sig_terminal == 0
+    assert trace.terminal_class == "none"
+    assert (trace.kernel_dim_after_lift, trace.kernel_inertia) == (0, (0, 0))
+
+
+def test_ambiguous_eigenvalue_raises():
+    # a conjugate pair 5e-7 off the axis, inside the ambiguity zone
+    # (1e-7, 1e-6]: no eigenvector split, and the partition refuses it
+    h, K = near_collision_member(5e-7)
+    assert retraction._eigenvector_split(h, K) is None
+    with pytest.raises(AmbiguousClassification):
+        retraction.retract_to_model(h, K)
+    with pytest.raises(AmbiguousClassification):
+        retraction.spectral_flatten(h, K)
+
+
+@pytest.mark.parametrize("kind", (None,) + ALL_KINDS)
+def test_flatten_endpoint_is_a_member(kind):
+    """The flatten endpoint is the member part of i(P_+ - P_-), so it is a
+    member to rounding however ill-conditioned the projections."""
+    if kind is None:
+        # ||P_+-|| about 1.3e3: i(P_+ - P_-) itself is off J-hermitian by
+        # more than the membership bound
+        h, K = near_collision_member(1e-3)
+        R = None
+        p_up, _, p_dn = retraction._halfplane_split(h)[0]
+        assert krein.is_j_hermitian(1j * (p_up - p_dn), K).residual > \
+            config.DEFAULT.membership
+    else:
+        K = krein.make_standard(2, 2)
+        R = make_real_structure(kind, 2, 2)
+        h = random_member(R, "hermitian", 8)
+    seg = retraction.spectral_flatten(h, K, R)
+    residual = realsym._class_membership(seg.end, K, R, "hermitian").residual
+    assert residual <= 1e-14 * max(1.0, numerics.norm(seg.end))
+    trace = retraction.retract_to_model(h, K, R)
+    assert trace.sig_initial == trace.sig_terminal == 0
 
 
 @pytest.mark.parametrize("kind, m", [

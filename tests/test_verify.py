@@ -28,3 +28,19 @@ def test_verify_suites_reach_the_paper_checks(monkeypatch):
         assert out["passed"], out["failures"]
         residuals.update(out["max_residuals"])
     assert all(residuals[k] <= 1e-8 for k in keys), residuals
+
+
+def test_suite_cayley_maps_each_operator_once(monkeypatch):
+    """The round trip starts from the C(H) that transport_report built: one
+    Cayley map of H per instance, and one on the way back."""
+    calls = []
+    forward = cayley.cayley_op
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return forward(*args, **kwargs)
+
+    for mod in (cayley, verify):
+        monkeypatch.setattr(mod, "cayley_op", counted)
+    assert verify.suite_cayley(n=3)["passed"]
+    assert len(calls) == 2 * 3
