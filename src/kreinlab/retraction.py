@@ -191,18 +191,32 @@ def _eigenvector_split(h_mat, K):
     falls back to the partition."""
     t = config.DEFAULT
     eigs, vecs = numerics.eig(h_mat)
-    dist = np.abs(eigs.imag)
-    if np.any((dist > t.eps_region) & (dist <= t.ambiguous_factor * t.eps_region)):
+    off = np.abs(eigs.imag)
+    if np.any((off > t.eps_region) & (off <= t.ambiguous_factor * t.eps_region)):
         return None
-    region = np.sign(eigs.imag) * (dist > t.eps_region)   # +1, 0 (axis), -1
+    region = np.sign(eigs.imag) * (off > t.eps_region)   # +1, 0 (axis), -1
+    # The partition clusters eigenvalues within delta of each other: a
+    # cluster straddles regions exactly when two such eigenvalues differ in
+    # region, and each cluster needs a separating circle, which for a lone
+    # eigenvalue has radius max(gap, delta) / 2
     delta = spectral.default_delta(eigs)
-    for idx in spectral.cluster_eigenvalues(eigs, delta):
-        if np.ptp(region[idx]):
-            return None
-        try:
-            spectral._separating_circle(eigs[idx], np.delete(eigs, idx), delta)
-        except NoSeparatingContour:
-            return None
+    gaps = np.abs(eigs[:, None] - eigs)
+    np.fill_diagonal(gaps, np.inf)
+    close = gaps <= delta
+    if np.any(close & (region[:, None] != region)):
+        return None
+    lone = ~close.any(axis=1)
+    radius = np.maximum(gaps.min(axis=1), delta) / 2.0
+    if np.any(lone & (radius < t.contour_clearance
+                      * (1.0 + np.abs(eigs) + radius))):
+        return None
+    if not lone.all():
+        for idx in spectral.cluster_eigenvalues(eigs, delta):
+            try:
+                spectral._separating_circle(eigs[idx], np.delete(eigs, idx),
+                                            delta)
+            except NoSeparatingContour:
+                return None
     inverse = spectral._inverse(vecs)
     if inverse is None:
         return None

@@ -298,12 +298,13 @@ def test_retract_stored_members(name, terminal_class):
         assert trace.terminal_symmetry_residual <= 1e-8
 
 
-def near_collision_member(eps):
+def near_collision_member(eps, beside=0.4):
     """A member of U(2,2) whose Krein collision on the (e1, e3) block has
-    split into a conjugate pair ``eps`` off the real axis, beside the real
-    eigenvalues 0.4 and -1.3, moved by a J-unitary similarity."""
+    split into a conjugate pair ``eps`` off the real axis at about -0.3,
+    beside the real eigenvalues ``beside`` and -1.3, moved by a J-unitary
+    similarity."""
     K = krein.make_standard(2, 2)
-    a = np.diag([0.7, 0.4, 2.0 * np.sqrt(1.0 - eps ** 2) - 0.7, 1.3])
+    a = np.diag([0.7, beside, 2.0 * np.sqrt(1.0 - eps ** 2) - 0.7, 1.3])
     a[0, 2] = a[2, 0] = 1.0
     g = krein.random_j_unitary(K, 1826701615)
     return g @ K.J @ a @ np.linalg.inv(g), K
@@ -352,14 +353,18 @@ def test_near_collision_member_takes_the_partition():
     assert (trace.kernel_dim_after_lift, trace.kernel_inertia) == (0, (0, 0))
 
 
-def test_ambiguous_eigenvalue_raises():
-    # a conjugate pair 5e-7 off the axis, inside the ambiguity zone
-    # (1e-7, 1e-6]: no eigenvector split, and the partition refuses it
-    h, K = near_collision_member(5e-7)
+@pytest.mark.parametrize("eps, beside, match", [
+    (5e-7, 0.4, "ambiguity zone"), (1.5e-6, -0.3, "straddles")])
+def test_ambiguous_spectrum_raises(eps, beside, match):
+    """A conjugate pair inside the ambiguity zone (1e-7, 1e-6], or just
+    beyond it and within delta of a real eigenvalue, so that one cluster
+    would straddle regions: no eigenvector split, and the partition
+    refuses H."""
+    h, K = near_collision_member(eps, beside)
     assert retraction._eigenvector_split(h, K) is None
-    with pytest.raises(AmbiguousClassification):
+    with pytest.raises(AmbiguousClassification, match=match):
         retraction.retract_to_model(h, K)
-    with pytest.raises(AmbiguousClassification):
+    with pytest.raises(AmbiguousClassification, match=match):
         retraction.spectral_flatten(h, K)
 
 
